@@ -25,6 +25,9 @@ from repro.smart.dataset import SmartDataset
 from repro.smart.generator import default_fleet_config
 from repro.tree.classification import ClassificationTree
 from repro.tree.forest import RandomForestClassifier
+from tests.oracles.node_walk import node_walk
+from tests.oracles.object_monitor import ObjectFleetMonitor
+from tests.oracles.resort import ResortClassificationTree
 
 
 @pytest.fixture(scope="module")
@@ -101,14 +104,15 @@ def test_micro_voting_detector(benchmark):
     benchmark(detector.first_alarm, scores)
 
 
-# -- compiled vs node backend: fleet-scale batch prediction -----------------
+# -- compiled inference vs the node-walk oracle: fleet-scale batch prediction -
 #
 # The deployment-shaped comparison.  The seed pipeline scored each drive
-# separately through the node-graph walk; the compiled backend scores the
-# whole fleet's stacked sample matrix in one flat-array routing pass.  The
-# benchmark fixture times the compiled call; the node baseline (per-drive
-# loop, as score_drives behaved before batching) is timed inline and the
-# speedup floors asserted.
+# separately through the node-graph walk (now the test oracle
+# tests/oracles/node_walk.py); compiled inference scores the whole fleet's
+# stacked sample matrix in one flat-array routing pass.  The benchmark
+# fixture times the compiled call; the node baseline (per-drive loop, as
+# score_drives behaved before batching) is timed inline and the speedup
+# floors asserted.
 
 
 @pytest.fixture(scope="module")
@@ -138,21 +142,15 @@ def fleet_setup():
     return training.X, training.y, matrices
 
 
-def _time_node_per_drive(model, matrices, predict):
+def _time_node_per_drive(model, matrices):
     """Per-drive node-walk scoring (the seed pipeline), best of 3."""
-    flipped = [model] + list(getattr(model, "trees_", ()))
-    for part in flipped:
-        part.backend = "node"
-    try:
-        best = np.inf
-        for _ in range(3):
-            start = time.perf_counter()
-            for matrix in matrices:
-                predict(matrix)
-            best = min(best, time.perf_counter() - start)
-    finally:
-        for part in flipped:
-            part.backend = "compiled"
+    walker = node_walk(model)
+    best = np.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        for matrix in matrices:
+            walker.predict(matrix)
+        best = min(best, time.perf_counter() - start)
     return best * 1e3
 
 
@@ -165,7 +163,7 @@ def test_micro_compiled_tree_fleet_speedup(benchmark, fleet_setup, score_bench_r
     out = benchmark(tree.predict, fleet)
     assert out.shape == (fleet.shape[0],)
 
-    node_ms = _time_node_per_drive(tree, matrices, tree.predict)
+    node_ms = _time_node_per_drive(tree, matrices)
     compiled_ms = benchmark.stats.stats.min * 1e3
     speedup = node_ms / compiled_ms
     score_bench_results["single_tree_fleet_scoring"] = {
@@ -192,7 +190,7 @@ def test_micro_compiled_forest_fleet_speedup(
     out = benchmark(forest.predict, fleet)
     assert out.shape == (fleet.shape[0],)
 
-    node_ms = _time_node_per_drive(forest, matrices, forest.predict)
+    node_ms = _time_node_per_drive(forest, matrices)
     compiled_ms = benchmark.stats.stats.min * 1e3
     speedup = node_ms / compiled_ms
     score_bench_results["forest_fleet_scoring"] = {
@@ -212,9 +210,10 @@ def test_micro_compiled_forest_fleet_speedup(
 #
 # The training-side counterparts of the compiled-inference benchmarks.
 # The presorted columnar frontier argsorts every feature once per fit and
-# partitions the sorted order down the tree; the legacy path re-sorts
-# every feature at every node.  Both produce bit-identical trees (see
-# tests/test_tree_frontier.py), so the only question here is speed.
+# partitions the sorted order down the tree; the legacy path (now the test
+# oracle tests/oracles/resort.py) re-sorts every feature at every node.
+# Both produce bit-identical trees (see tests/test_tree_frontier.py), so
+# the only question here is speed.
 # Results are also written to BENCH_train.json via train_bench_results.
 
 
@@ -250,14 +249,14 @@ def test_micro_train_presort_speedup(benchmark, train_matrix, train_bench_result
     params = dict(minsplit=20, minbucket=7, cp=0.001)
 
     tree = benchmark.pedantic(
-        lambda: ClassificationTree(presort=True, **params).fit(X, y),
+        lambda: ClassificationTree(**params).fit(X, y),
         rounds=3, iterations=1, warmup_rounds=0,
     )
     assert tree.n_leaves_ >= 2
 
     presort_ms = benchmark.stats.stats.min * 1e3
     legacy_ms = _best_of(
-        3, lambda: ClassificationTree(presort=False, **params).fit(X, y)
+        3, lambda: ResortClassificationTree(**params).fit(X, y)
     )
     speedup = legacy_ms / presort_ms
     train_bench_results["single_tree_presort"] = {
@@ -437,13 +436,14 @@ def test_micro_event_emission_overhead(benchmark, score_bench_results):
     assert per_event_us < 25.0
 
 
-# -- Streaming serving: columnar engine vs per-drive object engine -------------
+# -- Streaming serving: columnar engine vs per-drive object oracle -------------
 #
 # The FleetMonitor's deployment loop is one tick per collection interval
 # over the whole fleet.  The columnar engine ingests the tick as a single
 # (n_drives, n_channels) matrix — vectorized gate, ring-buffer voting,
-# one batched model call — where the object engine walks a Python object
-# per drive.  Both produce bit-identical alert/fault/event streams (see
+# one batched model call — where the object engine it replaced (now the
+# test oracle tests/oracles/object_monitor.py) walks a Python object per
+# drive.  Both produce bit-identical alert/fault/event streams (see
 # tests/test_detection_columnar.py), so the speedup here is pure
 # data-layout win and must not regress.
 
@@ -454,12 +454,12 @@ def _make_monitor(engine, n_drives):
 
     features = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0),
                 Feature("RRER", 12.0), Feature("SER", 6.0))
-    monitor = FleetMonitor(
+    monitor_class = ObjectFleetMonitor if engine == "object" else FleetMonitor
+    monitor = monitor_class(
         features,
         score_sample=lambda row: -1.0 if np.nansum(row) < 0.0 else 1.0,
         score_batch=lambda X: np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0),
         detector_factory=lambda: OnlineMajorityVote(5),
-        engine=engine,
     )
     monitor.register_fleet(tuple(f"drive-{i:06d}" for i in range(n_drives)))
     return monitor
@@ -473,7 +473,7 @@ def _stream_ticks(monitor, ticks):
 
 
 def test_micro_streaming_columnar_speedup(stream_bench_results):
-    """Columnar fleet ticks >= 10x the per-drive object engine."""
+    """Columnar fleet ticks >= 10x the per-drive object oracle."""
     from repro.smart.attributes import N_CHANNELS
 
     n_drives, n_ticks = 2_000, 24
@@ -593,7 +593,6 @@ def test_micro_sharded_million_drive_scaling(shard_bench_results):
         score_sample=_shard_bench_score_sample,
         score_batch=_shard_bench_score_batch,
         detector_factory=VoterSpec("majority", 3),
-        engine="columnar",
     )
     single.register_fleet(serials)
     single.observe_tick(0.0, matrix)  # warm-up: row allocation, buffers

@@ -138,7 +138,7 @@ def score_drives(
 
     Every drive's usable feature rows are stacked into one fleet matrix
     and ``score_rows(matrix) -> scores`` is invoked exactly once — the
-    compiled tree backend then routes the whole fleet in a single
+    compiled tree then routes the whole fleet in a single
     vectorised pass instead of paying per-drive call overhead.  Rows
     with no finite feature (missed samples) surface as NaN scores for
     the voting detectors to skip.

@@ -16,11 +16,13 @@ This package owns that layer end to end:
 * :mod:`~repro.detection.cost` — pricing an operating point
   (alarm/miss/data-loss costs) to choose voters or thresholds;
 * :mod:`~repro.detection.streaming` — the online
-  :class:`FleetMonitor` with per-drive buffers, fault gating and
-  quarantine (the deployment surface);
-* :mod:`~repro.detection.columnar` — the structure-of-arrays serving
-  engine behind ``FleetMonitor(engine="columnar")``: whole-tick ingest,
-  mask gating, ring-buffer voting matrices, one batched model call;
+  :class:`FleetMonitor` with fault gating and quarantine (the
+  deployment surface);
+* :mod:`~repro.detection.columnar` — the structure-of-arrays engine
+  every :class:`FleetMonitor` serves through: whole-tick ingest, mask
+  gating, ring-buffer voting matrices, one batched model call (its
+  reference, the per-drive object engine, is the test oracle
+  ``tests/oracles/object_monitor.py``);
 * :mod:`~repro.detection.sharded` — fleet-scale serving:
   :class:`ShardedFleetMonitor` partitions drives across N columnar
   shards by serial hash, fans ticks out (in-process or one worker
@@ -83,11 +85,9 @@ from repro.detection.supervision import (
     TickJournal,
 )
 from repro.detection.streaming import (
-    ENGINES,
     Alert,
     DriveStatus,
     FleetMonitor,
-    OnlineFeatureBuffer,
     OnlineMajorityVote,
     OnlineMeanThreshold,
     QuarantinePolicy,
@@ -113,11 +113,9 @@ __all__ = [
     "DriveStatus",
     "FleetMonitor",
     "QuarantinePolicy",
-    "OnlineFeatureBuffer",
     "OnlineMajorityVote",
     "OnlineMeanThreshold",
     "WindowedVoter",
-    "ENGINES",
     "SHARD_MODES",
     "CanaryPolicy",
     "ShardSpec",

@@ -1,13 +1,10 @@
 """Structure-of-arrays serving engine for :class:`~repro.detection.streaming.FleetMonitor`.
 
 The paper's deployment protocol scores every drive of a population once
-per hour.  The reference engine walks one python object per drive per
-tick — honest, readable, and linear in interpreter overhead.  This
-module is the fleet-scale hot path behind
-``FleetMonitor(engine="columnar")``: every piece of per-drive state
-lives in a preallocated array keyed by a stable serial→row index, so a
-collection tick is a handful of vectorized passes instead of
-``n_drives`` python round-trips:
+per hour.  This module is the monitor's one serving engine: every piece
+of per-drive state lives in a preallocated array keyed by a stable
+serial→row index, so a collection tick is a handful of vectorized
+passes instead of ``n_drives`` python round-trips:
 
 * the **validation gate** (shape / non-finite time / duplicate /
   out-of-order) becomes mask arithmetic against a ``_last_hour``
@@ -23,13 +20,15 @@ collection tick is a handful of vectorized passes instead of
 * **scoring** stacks the tick's usable feature rows and makes a single
   ``score_batch`` call (one compiled-tree routing pass for the fleet).
 
-The engine is pinned bit-identical to the object engine — same alerts,
-same ``health_report()``, same structured-event stream (including
-ordering), same quarantine decisions — by the golden parity suite in
-``tests/test_detection_columnar.py``, mirroring the compiled-vs-node
-tree backends.  Anywhere the two could diverge in float space (pairwise
-summation reassociation in the mean voter) the matrix voter re-judges
-boundary rows with the exact per-row rule.
+The reference is the per-drive object engine this module replaced: one
+python object, feature buffer and voter per drive, kept as the test
+oracle ``tests/oracles/object_monitor.py``.  The golden parity suite in
+``tests/test_detection_columnar.py`` pins the two bit for bit — same
+alerts, same ``health_report()``, same structured-event stream
+(including ordering), same quarantine decisions.  Anywhere the two
+could diverge in float space (pairwise summation reassociation in the
+mean voter) the matrix voter re-judges boundary rows with the exact
+per-row rule.
 """
 
 from __future__ import annotations
@@ -65,15 +64,15 @@ _CLEAN, _SHAPE, _NF_TIME, _DUP_TIME, _OOO = 0, 1, 2, 3, 4
 class _LagHistory:
     """Ring-buffered raw-channel history for change-rate lookback.
 
-    Row-for-row equivalent of the deque inside
-    :class:`~repro.detection.streaming.OnlineFeatureBuffer`, for the
-    whole fleet at once.  ``hours`` is ``(n_rows, capacity)`` with NaN
-    marking empty slots; ``values`` keeps only the channels change-rate
-    features actually read.  A slot is *live* while its hour is within
-    ``max_lag`` of the drive's newest push — the same retention rule the
-    object buffer applies by popping its deque — so validity is decided
-    at lookup time instead of by eviction, and a push that would
-    overwrite a live slot doubles the capacity first.
+    Row-for-row equivalent of a per-drive deque of recent readings (the
+    object-engine oracle's feature buffer), for the whole fleet at once.
+    ``hours`` is ``(n_rows, capacity)`` with NaN marking empty slots;
+    ``values`` keeps only the channels change-rate features actually
+    read.  A slot is *live* while its hour is within ``max_lag`` of the
+    drive's newest push — the same retention rule a per-drive deque
+    applies by popping — so validity is decided at lookup time instead
+    of by eviction, and a push that would overwrite a live slot doubles
+    the capacity first.
     """
 
     def __init__(self, n_rows: int, channels: Sequence[int], max_lag: float):
@@ -122,7 +121,7 @@ class _LagHistory:
     def lookup(self, rows: np.ndarray, lag_hour: float, now: float) -> np.ndarray:
         """Lagged channel values per row; NaN where the lag hour is absent.
 
-        Mirrors the object buffer's scan: only slots still within
+        Mirrors a per-drive history scan: only slots still within
         ``max_lag`` of ``now`` count, ``np.isclose`` matches the lag
         hour, and among multiple matches the oldest wins (per-drive
         hours are strictly increasing, so oldest = smallest).
@@ -257,22 +256,21 @@ def window_matrix_for(detector: object, n_rows: int = 0):
     if type(detector) is OnlineMeanThreshold:
         return MeanThresholdMatrix(detector.n_voters, detector.threshold, n_rows)
     raise ValueError(
-        "engine='columnar' needs detector_factory to build a built-in "
-        "windowed voter (OnlineMajorityVote or OnlineMeanThreshold), got "
-        f"{type(detector).__name__}; use engine='object' for custom detectors"
+        f"detector_factory built a {type(detector).__name__}; FleetMonitor "
+        "serves only the built-in windowed voters OnlineMajorityVote and "
+        "OnlineMeanThreshold"
     )
 
 
 class ColumnarEngine:
-    """The structure-of-arrays state behind ``engine="columnar"``.
+    """The structure-of-arrays state behind every :class:`FleetMonitor`.
 
     Owned by one :class:`~repro.detection.streaming.FleetMonitor`;
     shares the monitor's public result surfaces (``alerts``, ``faults``,
     ``vote_flips``) and keeps everything per-drive in parallel arrays
     grown by capacity doubling.  Rows are allocated in first-seen order,
-    exactly matching the object engine's ``_drives`` dict insertion
-    order, so :meth:`finalize` walks drives in the same order and
-    assigns the same dense alert ids.
+    so :meth:`finalize` walks drives in the order they first reported
+    and assigns dense alert ids in that order.
     """
 
     def __init__(self, monitor):
@@ -376,15 +374,15 @@ class ColumnarEngine:
         """One collection tick from ``(serial, values)`` pairs.
 
         ``single=True`` marks a batch-of-one coming from
-        ``FleetMonitor.observe`` — scored through ``score_sample`` like
-        the object engine's single-record path.
+        ``FleetMonitor.observe`` — scored through ``score_sample``, the
+        single-record scorer.
         """
         registry = get_registry()
         strict = self.monitor.quarantine is None
         if duplicates:
             if strict:
-                # Mirror the object loop: the tick counter covers the
-                # record that raises, nothing past it is reached.
+                # Record order: the tick counter covers the record that
+                # raises, nothing past it is reached.
                 registry.counter("serve.ticks", help=TICKS_HELP).inc()
                 serial = duplicates[0]
                 self._fault_row(
@@ -455,8 +453,8 @@ class ColumnarEngine:
         strict = monitor.quarantine is None
         n = len(rows)
 
-        # Vectorized validation gate; per-record verdicts with the same
-        # priority order as the object gate.
+        # Vectorized validation gate; per-record verdicts in priority
+        # order shape, non-finite time, duplicate time, out of order.
         verdict = np.zeros(n, dtype=np.int8)
         for at in bad_shape:
             verdict[at] = _SHAPE
@@ -471,8 +469,8 @@ class ColumnarEngine:
 
         if strict and faulted.any():
             first = int(np.argmax(faulted))
-            # Records past the raising one were never reached by the
-            # object loop: un-register any serial first seen there.
+            # Records past the raising one count as never reached:
+            # un-register any serial first seen there.
             doomed = rows[first + 1:]
             doomed = doomed[doomed >= n_before]
             if doomed.size:
@@ -552,9 +550,9 @@ class ColumnarEngine:
 
         log = get_event_log()
         if log.enabled:
-            # Per-drive lifecycle events must interleave exactly like the
-            # object loop; the arrays above did the work, this loop only
-            # narrates it.
+            # Per-drive lifecycle events interleave in record order, as a
+            # per-drive loop would emit them; the arrays above did the
+            # work, this loop only narrates it.
             clean_at = np.nonzero(clean)[0]
             for at in range(k):
                 serial = serials[clean_at[at]]
@@ -655,7 +653,10 @@ class ColumnarEngine:
         )
 
     def _fault_row(self, serial: str, row: int, fault: SampleFault) -> None:
-        """Array-state twin of ``FleetMonitor._quarantine_fault``."""
+        """Record one malformed tick against a drive's quarantine budget.
+
+        Strict mode (``quarantine=None``) raises instead.
+        """
         monitor = self.monitor
         if monitor.quarantine is None:
             raise ValueError(f"drive {serial}: {fault.kind}: {fault.detail}")

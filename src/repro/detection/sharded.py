@@ -226,7 +226,7 @@ class ShardSpec:
     model_generation: int = 0
 
     def build(self) -> FleetMonitor:
-        """A fresh columnar shard monitor (SLO state stays coordinator-side)."""
+        """A fresh shard monitor (SLO state stays coordinator-side)."""
         return FleetMonitor(
             self.features,
             score_sample=self.score_sample,
@@ -237,7 +237,6 @@ class ShardSpec:
             feature_names=self.feature_names,
             model_generation=self.model_generation,
             slo=None,
-            engine="columnar",
         )
 
 
@@ -344,13 +343,10 @@ def _shard_pin(state: dict, payload: dict) -> int:
 
 def _shard_status(state: dict, payload: object) -> dict:
     monitor: FleetMonitor = state["monitor"]
+    watched = monitor.watched_drives()
     return {
-        "n_watched": (
-            monitor._columnar.n_watched()
-            if monitor._columnar is not None
-            else len(monitor._drives)
-        ),
-        "watched": monitor.watched_drives(),
+        "n_watched": len(watched),
+        "watched": watched,
         "degraded": monitor.degraded_drives(),
         "fault_counts": monitor.fault_counts(),
         "vote_flips": monitor.vote_flips,

@@ -5,13 +5,10 @@ drive reports a SMART record, the model scores it, and the voting rule
 decides whether to raise a warning.  This module provides that streaming
 surface with *exactly* the offline semantics:
 
-* :class:`OnlineFeatureBuffer` — per-drive rolling history that computes
-  value and change-rate features incrementally (a change rate needs the
-  reading from ``interval`` hours ago, so the buffer keeps just enough
-  history);
 * :class:`OnlineMajorityVote` / :class:`OnlineMeanThreshold` — O(1)
-  sliding-window reimplementations of the offline detectors;
-* :class:`FleetMonitor` — routes per-drive observations through a fitted
+  sliding-window reimplementations of the offline detectors; they name
+  the voting rule a monitor serves and pin its semantics;
+* :class:`FleetMonitor` — routes collection ticks through a fitted
   model and collects :class:`Alert` events.
 
 Equivalence with the offline path (score_drives + first_alarm) is
@@ -20,9 +17,9 @@ guaranteed by construction and enforced by the test suite.
 **Degraded-mode serving.**  A production feed is dirty: ticks arrive
 out of order, repeat, carry the wrong shape or a non-finite timestamp.
 The monitor therefore runs every observation through a validation gate
-before it touches a drive's feature buffer: malformed ticks are counted
-and excluded (never scored, never a voting slot) and recorded as
-structured :class:`~repro.utils.errors.SampleFault` events.  A drive
+before it touches a drive's feature history: malformed ticks are
+counted and excluded (never scored, never a voting slot) and recorded
+as structured :class:`~repro.utils.errors.SampleFault` events.  A drive
 whose fault count passes the :class:`QuarantinePolicy` threshold is
 flagged ``DEGRADED`` — its alerts are suppressed and it is reported via
 :meth:`FleetMonitor.degraded_drives` instead of being silently
@@ -32,32 +29,30 @@ tree's surrogate/``missing_goes_left`` machinery routes them, exactly
 as at fit time; voting treats unscorable samples as NaN gaps without
 resetting its window.
 
-**Two serving engines.**  ``FleetMonitor(engine="object")`` (the
-reference backend) walks one python object per drive per tick — the
-path documented above.  ``engine="columnar"`` replaces that hot path
-with the structure-of-arrays core in
+**One serving engine.**  The monitor keeps every piece of per-drive
+state in the structure-of-arrays core of
 :mod:`repro.detection.columnar`: one 2-D ``(n_drives, n_channels)``
-ingest per tick, mask-based validation, ring-buffer voting matrices
-and a single batched model call.  The two engines are bit-identical —
-same alerts, same ``health_report()``, same event stream, same
-quarantine decisions — mirroring the compiled-vs-node tree backends;
-the object engine is the oracle the columnar engine is pinned against.
+ingest per tick, mask-based validation, ring-buffer voting matrices and
+a single batched model call.  The per-drive object engine it replaced
+(one python object, feature buffer and voter per drive) survives only
+as a test oracle, ``tests/oracles/object_monitor.py``; the golden parity
+suite pins the two bit for bit — same alerts, same ``health_report()``,
+same event stream, same quarantine decisions.
 """
 
 from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.features.vectorize import Feature, FeatureExtractor
+from repro.features.vectorize import Feature
 from repro.observability import get_event_log, get_registry, get_tracer
-from repro.observability.events import decision_path_payload
-from repro.smart.attributes import N_CHANNELS, channel_index
+from repro.smart.attributes import N_CHANNELS
 from repro.utils.errors import FaultKind, SampleFault
 from repro.utils.validation import check_positive
 
@@ -70,12 +65,8 @@ SampleScorer = Callable[[np.ndarray], float]
 #: Scores a stacked ``(n_rows, n_features)`` matrix in one call.
 BatchScorer = Callable[[np.ndarray], np.ndarray]
 
-#: Serving engines: ``"object"`` is the per-drive reference path,
-#: ``"columnar"`` the structure-of-arrays hot path (bit-identical).
-ENGINES = ("object", "columnar")
-
-# Counter help strings, shared verbatim by both engines so registry
-# snapshots (and therefore health_report metrics) stay bit-identical.
+# Counter help strings, shared verbatim with the object-engine test
+# oracle so registry snapshots (and health_report metrics) compare equal.
 TICKS_HELP = "observations offered"
 FAULTS_HELP = "malformed ticks excluded by the gate"
 SCORED_HELP = "ticks scored"
@@ -90,12 +81,7 @@ def _json_score(score: float) -> Optional[float]:
 
 
 def _duplicate_serial_fault(serial: str, hour: float) -> SampleFault:
-    """The fault recorded for each overridden duplicate-serial record.
-
-    Shared by both engines so the fault detail (and the ``tick_faulted``
-    payload built from it) is identical on the object and columnar
-    paths.
-    """
+    """The fault recorded for each overridden duplicate-serial record."""
     return SampleFault(
         serial,
         float(hour) if np.isfinite(hour) else np.nan,
@@ -132,67 +118,6 @@ def _normalize_tick(
             items[at] = (serial, values)
             duplicates.append(serial)
     return items, duplicates
-
-
-class OnlineFeatureBuffer:
-    """Incremental feature computation for one drive.
-
-    Keeps a bounded history of raw channel readings so change-rate
-    features can look back ``interval`` hours.  Observations must arrive
-    in strictly increasing hour order; gaps (missed samples) are fine —
-    a change rate whose lag hour was never observed is NaN, matching
-    :func:`repro.features.change_rates.change_rate`.
-    """
-
-    def __init__(self, features: Sequence[Feature]):
-        self.features = tuple(features)
-        if not self.features:
-            raise ValueError("at least one feature is required")
-        self._max_lag = max(
-            (f.change_interval_hours for f in self.features), default=0.0
-        )
-        self._history: deque[tuple[float, np.ndarray]] = deque()
-        self._last_hour: Optional[float] = None
-
-    def push(self, hour: float, channel_values: Sequence[float]) -> np.ndarray:
-        """Ingest one SMART record; return the feature row for this hour."""
-        values = np.asarray(channel_values, dtype=float)
-        if values.shape != (N_CHANNELS,):
-            raise ValueError(
-                f"channel_values must have shape ({N_CHANNELS},), got {values.shape}"
-            )
-        hour = float(hour)
-        if self._last_hour is not None and hour <= self._last_hour:
-            raise ValueError(
-                f"observations must be in increasing hour order "
-                f"({hour} after {self._last_hour})"
-            )
-        self._last_hour = hour
-        self._history.append((float(hour), values))
-        # Drop history older than the longest lag (keep the lag hour itself).
-        while self._history and self._history[0][0] < hour - self._max_lag:
-            self._history.popleft()
-
-        row = np.empty(len(self.features))
-        for column, feature in enumerate(self.features):
-            channel = channel_index(feature.short)
-            current = values[channel]
-            if not feature.is_change_rate:
-                row[column] = current
-                continue
-            lag_hour = hour - feature.change_interval_hours
-            lagged = self._lookup(lag_hour, channel)
-            if lagged is None or not np.isfinite(current) or not np.isfinite(lagged):
-                row[column] = np.nan
-            else:
-                row[column] = (current - lagged) / feature.change_interval_hours
-        return row
-
-    def _lookup(self, hour: float, channel: int) -> Optional[float]:
-        for recorded_hour, values in self._history:
-            if np.isclose(recorded_hour, hour):
-                return float(values[channel])
-        return None
 
 
 class WindowedVoter:
@@ -348,23 +273,6 @@ class QuarantinePolicy:
         return fault_count > self.fault_limit
 
 
-@dataclass
-class _DriveState:
-    buffer: OnlineFeatureBuffer
-    detector: object
-    alerted: bool = False
-    fault_count: int = 0
-    status: DriveStatus = DriveStatus.OK
-    #: Last instantaneous alarm signal (``serve.vote_flips`` tracks its
-    #: transitions; ``None`` until the first scored tick).
-    last_signal: Optional[bool] = None
-    #: Feature row of the most recent well-formed tick — the SMART
-    #: evidence an ``alert_raised`` event's decision path explains.
-    last_row: Optional[np.ndarray] = None
-    #: True once an ``alert_cleared`` event has fired for this drive.
-    cleared: bool = False
-
-
 class FleetMonitor:
     """Routes streaming SMART records through a fitted model.
 
@@ -373,13 +281,18 @@ class FleetMonitor:
         score_sample: Callable scoring one feature row (e.g. wrapping
             ``predictor.tree_.predict``); rows with no finite feature are
             scored NaN without calling it.
-        detector_factory: Zero-argument callable building a fresh online
-            detector per drive (majority vote or mean threshold).
+        detector_factory: Zero-argument callable building one of the
+            built-in windowed voters, :class:`OnlineMajorityVote` or
+            :class:`OnlineMeanThreshold` (e.g. a
+            :class:`~repro.detection.sharded.VoterSpec`).  It is called
+            once: the voter's rule and width configure the voting
+            matrix that holds every drive's window.  Any other detector
+            type raises ``ValueError``.
         score_batch: Optional callable scoring a stacked matrix in one
             call (e.g. ``predictor.tree_.predict`` directly).  When set,
             :meth:`observe_fleet` scores a whole collection tick through
-            it — one compiled-backend routing pass for the fleet —
-            instead of one ``score_sample`` call per drive.
+            it — one compiled routing pass for the fleet — instead of
+            one ``score_sample`` call per drive.
         quarantine: The degraded-mode policy (see
             :class:`QuarantinePolicy`; a default policy is installed when
             omitted).  Pass ``quarantine=None`` for strict mode, where a
@@ -389,9 +302,7 @@ class FleetMonitor:
         tree: Optional fitted tree (anything with
             ``decision_path(row)``, e.g. ``predictor.tree_``) used to
             attach decision-path provenance to every ``alert_raised``
-            event.  Identical output under the compiled and node
-            backends, so provenance never depends on the serving
-            backend.
+            event.
         feature_names: Optional names for the feature columns, rendered
             into provenance steps (defaults to the ``features``
             descriptions).
@@ -400,13 +311,6 @@ class FleetMonitor:
         slo: Optional :class:`~repro.observability.slo.SLOMonitor` fed
             by :meth:`resolve_outcome`; its burn status is embedded in
             :meth:`health_report`.
-        engine: Serving engine — ``"object"`` (default) keeps one
-            python object per drive (the reference backend);
-            ``"columnar"`` serves the fleet from structure-of-arrays
-            state (:mod:`repro.detection.columnar`) with bit-identical
-            alerts, reports and events.  The columnar engine requires a
-            built-in windowed voter (:class:`OnlineMajorityVote` or
-            :class:`OnlineMeanThreshold`) from ``detector_factory``.
 
     Example:
         >>> from repro.features.selection import critical_features
@@ -434,7 +338,6 @@ class FleetMonitor:
         feature_names: Optional[Sequence[str]] = None,
         model_generation: int = 0,
         slo: Optional[object] = None,
-        engine: str = "object",
     ):
         self.features = tuple(features)
         self.score_sample = score_sample
@@ -449,28 +352,19 @@ class FleetMonitor:
         )
         self.model_generation = int(model_generation)
         self.slo = slo
-        if engine not in ENGINES:
-            raise ValueError(f"engine must be one of {ENGINES}, got {engine!r}")
-        self.engine = engine
-        self._drives: dict[str, _DriveState] = {}
         self.alerts: list[Alert] = []
         self.faults: list[SampleFault] = []
         self.vote_flips = 0
         self._tick_serials: Optional[tuple[str, ...]] = None
-        if engine == "columnar":
-            from repro.detection.columnar import ColumnarEngine
+        from repro.detection.columnar import ColumnarEngine
 
-            self._columnar: Optional[ColumnarEngine] = ColumnarEngine(self)
-        else:
-            self._columnar = None
+        self._engine = ColumnarEngine(self)
 
     @classmethod
     def from_predictor(
         cls,
         predictor,
         detector_factory: Callable[[], object],
-        *,
-        engine: str = "columnar",
         **kwargs,
     ) -> "FleetMonitor":
         """Build a monitor serving a fitted pipeline's tree.
@@ -492,164 +386,8 @@ class FleetMonitor:
             detector_factory=detector_factory,
             score_batch=tree.batch_scorer(),
             tree=tree,
-            engine=engine,
             **kwargs,
         )
-
-    def _state(self, serial: str) -> _DriveState:
-        state = self._drives.get(serial)
-        if state is None:
-            state = _DriveState(
-                buffer=OnlineFeatureBuffer(self.features),
-                detector=self.detector_factory(),
-            )
-            self._drives[serial] = state
-        return state
-
-    # -- the validation gate -------------------------------------------------
-
-    def _gate(
-        self, serial: str, state: _DriveState, hour: float, values: Sequence[float]
-    ) -> Union[np.ndarray, SampleFault]:
-        """Validate one tick; a clean tick comes back as its channel array.
-
-        A malformed tick is returned as a :class:`SampleFault` (strict
-        mode raises instead), already counted against the drive's
-        quarantine budget and appended to :attr:`faults`.
-        """
-        registry = get_registry()
-        registry.counter("serve.ticks", help=TICKS_HELP).inc()
-        fault: Optional[SampleFault] = None
-        array = np.asarray(values, dtype=float)
-        last = state.buffer._last_hour
-        if array.shape != (N_CHANNELS,):
-            fault = SampleFault(
-                serial, float(hour) if np.isfinite(hour) else np.nan,
-                FaultKind.WRONG_SHAPE,
-                f"expected ({N_CHANNELS},) channel values, got {array.shape}",
-            )
-        elif not np.isfinite(hour):
-            fault = SampleFault(
-                serial, np.nan, FaultKind.NON_FINITE_TIME,
-                f"timestamp {hour!r} is not a finite hour",
-            )
-        elif last is not None and hour == last:
-            fault = SampleFault(
-                serial, float(hour), FaultKind.DUPLICATE_TIME,
-                f"hour {hour} already ingested",
-            )
-        elif last is not None and hour < last:
-            fault = SampleFault(
-                serial, float(hour), FaultKind.OUT_OF_ORDER,
-                f"hour {hour} arrived after {last}",
-            )
-        if fault is None:
-            return array
-        self._quarantine_fault(serial, state, fault)
-        return fault
-
-    def _quarantine_fault(
-        self, serial: str, state: _DriveState, fault: SampleFault
-    ) -> None:
-        """Record one malformed tick against a drive's quarantine budget.
-
-        Strict mode (``quarantine=None``) raises instead.  Shared by the
-        in-stream gate and the duplicate-serial check so every fault
-        kind flows through one bookkeeping path.
-        """
-        if self.quarantine is None:
-            raise ValueError(f"drive {serial}: {fault.kind}: {fault.detail}")
-        registry = get_registry()
-        self.faults.append(fault)
-        state.fault_count += 1
-        registry.counter(
-            "serve.faults", help=FAULTS_HELP, kind=fault.kind.value,
-        ).inc()
-        log = get_event_log()
-        log.emit(
-            "tick_faulted", drive=serial, hour=fault.hour,
-            kind=fault.kind.value, detail=fault.detail,
-        )
-        if self.quarantine.degrades(state.fault_count):
-            if state.status is not DriveStatus.DEGRADED:
-                registry.counter(
-                    "serve.quarantined", help=QUARANTINED_HELP
-                ).inc()
-                log.emit(
-                    "drive_quarantined", drive=serial, hour=fault.hour,
-                    fault_count=state.fault_count,
-                    fault_limit=self.quarantine.fault_limit,
-                )
-            state.status = DriveStatus.DEGRADED
-
-    def _record_score(
-        self, serial: str, state: _DriveState, hour: float, score: float
-    ) -> Optional[Alert]:
-        """Feed one score to the drive's detector; latch and report alerts.
-
-        Degraded drives keep their detector state current but never
-        alert — a page driven by a quarantined feed would be noise.
-        Emits the lifecycle events (``sample_scored`` → ``vote_flip`` →
-        ``alert_raised``/``alert_cleared``) into the structured log;
-        with the default null log every emission is a no-op.
-        """
-        log = get_event_log()
-        if log.enabled and np.isfinite(score):
-            log.emit("sample_scored", drive=serial, hour=hour, score=float(score))
-        alarmed = state.detector.push(score)
-        previous = state.last_signal
-        if previous is not None and alarmed != previous:
-            self.vote_flips += 1
-            get_registry().counter(
-                "serve.vote_flips", help=FLIPS_HELP
-            ).inc()
-            log.emit("vote_flip", drive=serial, hour=hour, signal=bool(alarmed))
-        state.last_signal = alarmed
-        if alarmed and not state.alerted and state.status is DriveStatus.OK:
-            state.alerted = True
-            alert = Alert(
-                serial=serial, hour=float(hour), score=score,
-                alert_id=f"alert-{len(self.alerts):04d}",
-            )
-            self.alerts.append(alert)
-            get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
-            if log.enabled:
-                log.emit(
-                    "alert_raised", drive=serial, hour=hour,
-                    **self._provenance(alert, state),
-                )
-            return alert
-        if (
-            not alarmed and previous and state.alerted and not state.cleared
-            and state.status is DriveStatus.OK
-        ):
-            state.cleared = True
-            log.emit("alert_cleared", drive=serial, hour=hour, score=_json_score(score))
-        return None
-
-    def _provenance(self, alert: Alert, state: _DriveState) -> dict:
-        """The evidence payload of an ``alert_raised`` event.
-
-        Built only when a recording event log is installed: the alert
-        id, the triggering score, the serving model's generation, the
-        voting-window contents at the flip, and — when the monitor
-        knows its ``tree`` — the CART decision path that classified the
-        last well-formed sample (identical for the compiled and node
-        backends by construction).
-        """
-        payload: dict = {
-            "alert_id": alert.alert_id,
-            "score": _json_score(alert.score),
-            "model_generation": self.model_generation,
-        }
-        window = getattr(state.detector, "window_contents", None)
-        if window is not None:
-            payload["window"] = window()
-        if self.tree is not None and state.last_row is not None:
-            payload["path"] = decision_path_payload(
-                self.tree, state.last_row, self.feature_names
-            )
-        return payload
 
     def observe(
         self, serial: str, hour: float, channel_values: Sequence[float]
@@ -663,23 +401,10 @@ class FleetMonitor:
         values inside a well-formed tick flow through to the model's
         surrogate routing unchanged.
         """
-        if self._columnar is not None:
-            alerts = self._columnar.tick(
-                hour, [(serial, channel_values)], [], single=True
-            )
-            return alerts[0] if alerts else None
-        state = self._state(serial)
-        gated = self._gate(serial, state, hour, channel_values)
-        if isinstance(gated, SampleFault):
-            return None
-        row = state.buffer.push(hour, gated)
-        state.last_row = row
-        if np.any(np.isfinite(row)):
-            score = float(self.score_sample(row))
-            get_registry().counter("serve.scored", help=SCORED_HELP).inc()
-        else:
-            score = np.nan
-        return self._record_score(serial, state, hour, score)
+        alerts = self._engine.tick(
+            hour, [(serial, channel_values)], [], single=True
+        )
+        return alerts[0] if alerts else None
 
     def observe_fleet(
         self,
@@ -723,9 +448,9 @@ class FleetMonitor:
 
         ``values`` is a ``(n_drives, n_channels)`` float matrix; row
         ``i`` is the reading of ``serials[i]`` (default: the roster from
-        :meth:`register_fleet`).  On the columnar engine with a
-        registered roster this is the zero-copy hot path: no per-drive
-        python objects are touched.  Semantically identical to
+        :meth:`register_fleet`).  With a registered roster this is the
+        zero-copy hot path: no per-drive python objects are touched.
+        Semantically identical to
         ``observe_fleet(hour, zip(serials, values))``.
         """
         roster = tuple(serials) if serials is not None else self._tick_serials
@@ -739,10 +464,7 @@ class FleetMonitor:
                 f"values must have shape ({len(roster)}, {N_CHANNELS}), "
                 f"got {matrix.shape}"
             )
-        if self._columnar is not None:
-            return self._run_tick(hour, None, None, roster=roster, matrix=matrix)
-        items, duplicates = _normalize_tick(zip(roster, matrix))
-        return self._run_tick(hour, items, duplicates)
+        return self._run_tick(hour, None, None, roster=roster, matrix=matrix)
 
     def shard_tick(
         self,
@@ -770,12 +492,8 @@ class FleetMonitor:
         pair (the zero-copy path; the roster must be duplicate-free).
         """
         if roster is not None:
-            if self._columnar is not None:
-                return self._columnar.tick_matrix(hour, roster, matrix)
-            items, duplicates = _normalize_tick(zip(roster, matrix))
-        if self._columnar is not None:
-            return self._columnar.tick(hour, items, duplicates)
-        return self._observe_fleet_impl(hour, items, duplicates)
+            return self._engine.tick_matrix(hour, roster, matrix)
+        return self._engine.tick(hour, items, duplicates)
 
     def _run_tick(
         self,
@@ -786,7 +504,7 @@ class FleetMonitor:
         roster: Optional[tuple[str, ...]] = None,
         matrix: Optional[np.ndarray] = None,
     ) -> list[Alert]:
-        """Shared per-tick instrumentation around both engines."""
+        """Per-tick instrumentation around one engine tick."""
         registry = get_registry()
         start = perf_counter() if registry.enabled else 0.0
         n_drives = len(roster) if roster is not None else len(items)
@@ -794,11 +512,9 @@ class FleetMonitor:
             "serve.tick", category="serve", n_drives=n_drives
         ):
             if roster is not None:
-                alerts = self._columnar.tick_matrix(hour, roster, matrix)
-            elif self._columnar is not None:
-                alerts = self._columnar.tick(hour, items, duplicates)
+                alerts = self._engine.tick_matrix(hour, roster, matrix)
             else:
-                alerts = self._observe_fleet_impl(hour, items, duplicates)
+                alerts = self._engine.tick(hour, items, duplicates)
         registry.counter("serve.fleet_ticks", help="collection ticks").inc()
         if registry.enabled:
             registry.histogram(
@@ -807,78 +523,13 @@ class FleetMonitor:
             ).observe(perf_counter() - start)
         return alerts
 
-    def _observe_fleet_impl(
-        self, hour: float, items: list[tuple], duplicates: list[str]
-    ) -> list[Alert]:
-        registry = get_registry()
-        for serial in duplicates:
-            registry.counter("serve.ticks", help=TICKS_HELP).inc()
-            self._quarantine_fault(
-                serial, self._state(serial), _duplicate_serial_fault(serial, hour)
-            )
-        ingested: list[tuple[str, _DriveState, np.ndarray]] = []
-        for serial, values in items:
-            state = self._state(serial)
-            gated = self._gate(serial, state, hour, values)
-            if isinstance(gated, SampleFault):
-                continue
-            row = state.buffer.push(hour, gated)
-            state.last_row = row
-            ingested.append((serial, state, row))
-        usable = [
-            index
-            for index, (_, _, row) in enumerate(ingested)
-            if np.any(np.isfinite(row))
-        ]
-        scores = np.full(len(ingested), np.nan)
-        if usable:
-            stacked = np.vstack([ingested[index][2] for index in usable])
-            if self.score_batch is not None:
-                scores[usable] = np.asarray(self.score_batch(stacked), dtype=float)
-            else:
-                scores[usable] = [
-                    float(self.score_sample(stacked[at]))
-                    for at in range(len(usable))
-                ]
-            registry.counter(
-                "serve.scored", help=SCORED_HELP
-            ).inc(len(usable))
-        alerts = []
-        for (serial, state, _), score in zip(ingested, scores):
-            alert = self._record_score(serial, state, hour, float(score))
-            if alert is not None:
-                alerts.append(alert)
-        return alerts
-
     def finalize(self) -> list[Alert]:
         """Apply the short-history rule to drives that never filled a window.
 
         Call once at the end of a replay; returns (and records) the extra
         alerts.  Idempotent per drive thanks to the ``alerted`` latch.
         """
-        if self._columnar is not None:
-            return self._columnar.finalize()
-        extra = []
-        log = get_event_log()
-        for serial, state in self._drives.items():
-            if state.alerted or state.status is not DriveStatus.OK:
-                continue
-            flush = getattr(state.detector, "flush_short_history", None)
-            if flush is not None and flush():
-                state.alerted = True
-                alert = Alert(
-                    serial=serial, hour=np.nan, score=np.nan,
-                    alert_id=f"alert-{len(self.alerts):04d}",
-                )
-                self.alerts.append(alert)
-                get_registry().counter("serve.alerts", help=ALERTS_HELP).inc()
-                if log.enabled:
-                    log.emit(
-                        "alert_raised", drive=serial, hour=None,
-                        short_history=True, **self._provenance(alert, state),
-                    )
-                extra.append(alert)
-        return extra
+        return self._engine.finalize()
 
     # -- model lifecycle and ground truth --------------------------------------
 
@@ -932,7 +583,7 @@ class FleetMonitor:
         so explain reports can attribute precision to the exact
         subtree that paged (:mod:`repro.explain.report`).
         """
-        alerted = self._is_alerted(serial)
+        alerted = self._engine.is_alerted(serial)
         if failed:
             outcome = "detected" if alerted else "missed"
         else:
@@ -962,47 +613,23 @@ class FleetMonitor:
             self.slo.record(float(hour), outcome, lead_hours=lead_hours, drive=serial)
         return outcome
 
-    def _is_alerted(self, serial: str) -> bool:
-        """Whether the drive's alert latch has fired (either engine)."""
-        if self._columnar is not None:
-            return self._columnar.is_alerted(serial)
-        state = self._drives.get(serial)
-        return state.alerted if state is not None else False
-
     def watched_drives(self) -> list[str]:
         """Serials currently tracked."""
-        if self._columnar is not None:
-            return self._columnar.watched_drives()
-        return sorted(self._drives)
+        return self._engine.watched_drives()
 
     # -- degraded-mode reporting ----------------------------------------------
 
     def drive_status(self, serial: str) -> DriveStatus:
         """Serving status of one drive (unknown serials are ``OK``)."""
-        if self._columnar is not None:
-            return self._columnar.drive_status(serial)
-        state = self._drives.get(serial)
-        return state.status if state is not None else DriveStatus.OK
+        return self._engine.drive_status(serial)
 
     def degraded_drives(self) -> list[str]:
         """Serials currently quarantined (reported, never mis-scored)."""
-        if self._columnar is not None:
-            return self._columnar.degraded_drives()
-        return sorted(
-            serial
-            for serial, state in self._drives.items()
-            if state.status is DriveStatus.DEGRADED
-        )
+        return self._engine.degraded_drives()
 
     def fault_counts(self) -> dict[str, int]:
         """Per-drive count of quarantined (malformed, excluded) ticks."""
-        if self._columnar is not None:
-            return self._columnar.fault_counts()
-        return {
-            serial: state.fault_count
-            for serial, state in sorted(self._drives.items())
-            if state.fault_count
-        }
+        return self._engine.fault_counts()
 
     def health_report(self) -> dict[str, object]:
         """One-call summary for operators: faults, quarantine, alerts.
@@ -1018,14 +645,9 @@ class FleetMonitor:
         for fault in self.faults:
             kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
         snapshot = get_registry().snapshot()
-        watched = (
-            self._columnar.n_watched()
-            if self._columnar is not None
-            else len(self._drives)
-        )
         report: dict[str, object] = {
             "schema": HEALTH_REPORT_SCHEMA,
-            "watched_drives": watched,
+            "watched_drives": self._engine.n_watched(),
             "alerts": len(self.alerts),
             "faults_total": len(self.faults),
             "faults_by_kind": kinds,

@@ -127,8 +127,9 @@ METRICS: tuple[MetricSpec, ...] = (
     MetricSpec("serve.tick_seconds", "histogram", "seconds", (),
                "repro.detection.streaming",
                "wall time of each observe_fleet collection tick (the one "
-               "serve.* metric that differs between the object and columnar "
-               "engines — everything else is bit-identical across them)",
+               "serve.* metric that differs between the columnar engine and "
+               "its object-engine test oracle — everything else is "
+               "bit-identical across them)",
                TIME_BUCKETS_S),
     # -- shard: sharded fleet serving (repro/detection/sharded.py) ----------
     MetricSpec("shard.ticks", "counter", "", ("shard",),
@@ -339,8 +340,8 @@ EVENTS: tuple[EventSpec, ...] = (
               "once per raised alert, carrying full provenance: the alert "
               "id, triggering score, model generation, voting-window "
               "contents, and the CART decision path of the last "
-              "well-formed sample (identical for compiled and node "
-              "backends)",
+              "well-formed sample (identical to a walk of the node "
+              "graph)",
               ("alert_id", "score", "model_generation", "window?", "path?",
                "short_history?")),
     EventSpec("alert_cleared", "repro.detection.streaming",

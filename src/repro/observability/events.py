@@ -28,8 +28,9 @@ integration suite) covers the full alert lifecycle::
 
 Every ``alert_raised`` event carries **provenance**: the CART decision
 path that classified the triggering sample (one step per internal node
-— feature, threshold, direction, node statistics — identical under the
-compiled and node backends by construction), the voting-window contents
+— feature, threshold, direction, node statistics — read off the
+compiled arrays and identical to a walk of the node graph), the
+voting-window contents
 at the moment the window flipped, and the generation of the model that
 produced the score.  ``repro-events explain <alert-id>`` renders it.
 
@@ -520,8 +521,8 @@ def decision_path_payload(
     """Serialise a root-to-leaf decision path as JSON-able step dicts.
 
     ``tree`` is anything exposing ``decision_path(row) -> list[Node]``
-    (:class:`~repro.tree.base.BaseDecisionTree`; identical output under
-    the compiled and node backends by construction).  One dict per
+    (:class:`~repro.tree.base.BaseDecisionTree`, whose compiled path
+    matches a walk of the node graph by construction).  One dict per
     internal node on the walk — heap node id, feature index (and name
     when ``feature_names`` is given), threshold, the direction taken,
     the sample's value, and the node statistics an operator reads

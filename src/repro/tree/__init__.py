@@ -10,9 +10,14 @@ Public surface:
 * :class:`RandomForestClassifier` / :class:`AdaBoostClassifier` —
   ensemble extensions named by the paper's future/related work.
 * :class:`CompiledTree` / :class:`CompiledForest` — the flat-array
-  inference backend (fleet-scale batch scoring); every fitted tree
-  carries one, and ``backend="node"`` falls back to the Figure-1
-  object-graph walk.
+  inference path (fleet-scale batch scoring); every fitted tree carries
+  one and scores through it.
+
+Training has one split finder (the presorted
+:class:`TrainingFrontier`) and inference one path (the compiled
+arrays).  The per-node re-sorting split search and the Figure-1 node
+walk they replaced are test oracles under ``tests/oracles/``, not
+options.
 """
 
 from repro.tree.bagging import subsample_member_inputs
@@ -34,7 +39,7 @@ from repro.tree.pruning import (
 )
 from repro.tree.regression import RegressionTree
 from repro.tree.serialization import load_model, save_model
-from repro.tree.surrogates import SurrogateSplit, find_surrogate_splits
+from repro.tree.surrogates import SurrogateSplit
 from repro.tree.validation import (
     CrossValidationResult,
     GridSearchResult,
@@ -59,7 +64,6 @@ __all__ = [
     "stratified_kfold_indices",
     "weighted_error_score",
     "SurrogateSplit",
-    "find_surrogate_splits",
     "load_model",
     "save_model",
     "ClassificationTree",

@@ -29,9 +29,6 @@ class AdaBoostClassifier(ServingScorerMixin):
         max_depth: Depth cap of each weak learner (1 = decision stumps).
         minsplit/minbucket/cp: Forwarded to the weak learners.
         learning_rate: Shrinkage applied to each round's vote weight.
-        backend: ``"compiled"`` (default) scores the stacked weak
-            learners in one :class:`~repro.tree.compiled.CompiledForest`
-            pass at decision time; ``"node"`` loops the reference walk.
     """
 
     def __init__(
@@ -42,7 +39,6 @@ class AdaBoostClassifier(ServingScorerMixin):
         minbucket: int = 7,
         cp: float = 0.0,
         learning_rate: float = 1.0,
-        backend: str = "compiled",
     ):
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
@@ -50,10 +46,8 @@ class AdaBoostClassifier(ServingScorerMixin):
             raise ValueError(f"learning_rate must be > 0, got {learning_rate}")
         self.n_rounds = int(n_rounds)
         self.learning_rate = float(learning_rate)
-        self.backend = backend
         self.tree_params = dict(
             minsplit=minsplit, minbucket=minbucket, cp=cp, max_depth=max_depth,
-            backend=backend,
         )
         self.trees_: list[ClassificationTree] = []
         self.alphas_: list[float] = []
@@ -111,20 +105,14 @@ class AdaBoostClassifier(ServingScorerMixin):
         if not self.trees_:
             raise RuntimeError("AdaBoostClassifier is not fitted; call fit() first")
         matrix = check_2d("X", X)
-        if self.backend == "compiled":
-            if self._compiled_forest is None:
-                self._compiled_forest = CompiledForest(
-                    [tree.compiled_ for tree in self.trees_]
-                )
-            predictions = self._compiled_forest.predict_matrix(matrix)
-            margin = np.zeros(matrix.shape[0], dtype=float)
-            for alpha, row in zip(self.alphas_, predictions):
-                margin += alpha * np.where(row == self.classes_[1], 1.0, -1.0)
-            return margin
+        if self._compiled_forest is None:
+            self._compiled_forest = CompiledForest(
+                [tree.compiled_ for tree in self.trees_]
+            )
+        predictions = self._compiled_forest.predict_matrix(matrix)
         margin = np.zeros(matrix.shape[0], dtype=float)
-        for alpha, tree in zip(self.alphas_, self.trees_):
-            predicted = np.where(tree.predict(matrix) == self.classes_[1], 1.0, -1.0)
-            margin += alpha * predicted
+        for alpha, row in zip(self.alphas_, predictions):
+            margin += alpha * np.where(row == self.classes_[1], 1.0, -1.0)
         return margin
 
     def predict(self, X: object) -> np.ndarray:

@@ -21,11 +21,7 @@ import numpy as np
 from repro.tree.base import BaseDecisionTree
 from repro.tree.criteria import node_impurity
 from repro.tree.node import Node
-from repro.tree.splitter import (
-    SplitCandidate,
-    find_best_split,
-    find_best_split_presorted,
-)
+from repro.tree.splitter import SplitCandidate, find_best_split_presorted
 from repro.utils.validation import check_1d, check_2d, check_matching_length
 
 ClassWeight = Union[None, str, Mapping[object, float]]
@@ -72,12 +68,6 @@ class ClassificationTree(BaseDecisionTree):
         max_depth: Optional depth cap.
         n_surrogates: Surrogate splits per node for missing-value
             routing (rpart behaviour; 0 disables).
-        backend: ``"compiled"`` (default, flat-array inference) or
-            ``"node"`` (reference object-graph walk); outputs are
-            bit-identical.
-        presort: ``True`` (default) trains through the presorted
-            columnar frontier; ``False`` re-sorts per node (reference).
-            Fitted trees are node-for-node identical either way.
 
     Example:
         >>> tree = ClassificationTree(minsplit=2, minbucket=1, cp=0.0)
@@ -96,13 +86,10 @@ class ClassificationTree(BaseDecisionTree):
         loss_matrix: Optional[Sequence[Sequence[float]]] = None,
         max_depth: Optional[int] = None,
         n_surrogates: int = 0,
-        backend: str = "compiled",
-        presort: bool = True,
     ):
         super().__init__(
             minsplit=minsplit, minbucket=minbucket, cp=cp,
-            max_depth=max_depth, n_surrogates=n_surrogates, backend=backend,
-            presort=presort,
+            max_depth=max_depth, n_surrogates=n_surrogates,
         )
         if criterion not in ("entropy", "gini"):
             raise ValueError(f"criterion must be 'entropy' or 'gini', got {criterion!r}")
@@ -151,15 +138,15 @@ class ClassificationTree(BaseDecisionTree):
         self._class_indices = class_indices
         self._n_classes = n_classes
         self._loss = loss
-        # Fit-wide per-class weight columns for the presorted two-class
-        # fast path; products commute with row gathering, so hoisting
-        # them out of the node loop changes no scored float.
+        # Fit-wide per-class weight columns for the two-class fast path;
+        # products commute with row gathering, so hoisting them out of
+        # the node loop changes no scored float.
         self._binary_class_weights = (
             (
                 np.where(class_indices == 0, weights, 0.0),
                 np.where(class_indices == 1, weights, 0.0),
             )
-            if self.presort and n_classes == 2
+            if n_classes == 2
             else None
         )
         self.n_features_ = matrix.shape[1]
@@ -222,28 +209,18 @@ class ClassificationTree(BaseDecisionTree):
         node_classes = self._class_indices[indices]
         return bool(np.all(node_classes == node_classes[0]))
 
-    def _search_split(self, indices, frontier_node=None) -> Optional[SplitCandidate]:
-        if frontier_node is not None:
-            return find_best_split_presorted(
-                frontier_node,
-                self._X,
-                indices,
-                task="classification",
-                weights=self._w,
-                minbucket=self.minbucket,
-                class_indices=self._class_indices,
-                n_classes=self._n_classes,
-                criterion=self.criterion,
-                binary_class_weights=self._binary_class_weights,
-            )
-        return find_best_split(
-            self._X[indices],
+    def _search_split(self, indices, frontier_node) -> Optional[SplitCandidate]:
+        return find_best_split_presorted(
+            frontier_node,
+            self._X,
+            indices,
             task="classification",
-            weights=self._w[indices],
+            weights=self._w,
             minbucket=self.minbucket,
-            class_indices=self._class_indices[indices],
+            class_indices=self._class_indices,
             n_classes=self._n_classes,
             criterion=self.criterion,
+            binary_class_weights=self._binary_class_weights,
         )
 
     def _relative_gain(self, node: Node, root: Node) -> float:
@@ -263,19 +240,8 @@ class ClassificationTree(BaseDecisionTree):
     def predict_proba(self, X: object) -> np.ndarray:
         """Per-class probability (leaf class distribution) for each row.
 
-        With the compiled backend this is one routing pass plus a single
-        fancy-index into the ``(n_nodes, n_classes)`` leaf-value matrix;
-        the node backend walks the object graph (reference path).
+        One compiled routing pass plus a single fancy-index into the
+        ``(n_nodes, n_classes)`` leaf-value matrix.
         """
-        root = self._check_fitted()
-        matrix = self._validate_X(X)
-        compiled = self._use_compiled()
-        if compiled is not None:
-            return compiled.predict_values(matrix)
-        leaf_ids = self._route_rows_node_ids(root, matrix)
-        by_id = {
-            node.node_id: node.class_distribution
-            for node in root.iter_nodes()
-            if node.is_leaf
-        }
-        return np.vstack([by_id[int(i)] for i in leaf_ids])
+        self._check_fitted()
+        return self._compiled().predict_values(self._validate_X(X))

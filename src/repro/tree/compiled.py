@@ -1,4 +1,4 @@
-"""Compiled flat-array tree backend for fleet-scale scoring.
+"""Compiled flat-array tree inference for fleet-scale scoring.
 
 A fitted CART is, logically, the paper's Figure-1 object graph of
 :class:`~repro.tree.node.Node` instances — ideal for rendering, rule
@@ -26,9 +26,11 @@ Routing is a vectorised subset descent: an explicit stack of
 (node, row-subset) pairs where each internal node costs one contiguous
 column gather, one scalar compare and two boolean compressions — a few
 flat numpy passes per node actually visited, never a Python frame per
-row.  The semantics — including NaN/inf handling and surrogate
-fallbacks — are bit-identical to the node-walk reference implementation
-(``backend="node"``), which the golden-equivalence test suite enforces.
+row.  This is the only inference path of every tree and ensemble.  The
+semantics — including NaN/inf handling and surrogate fallbacks — are
+bit-identical to a walk of the Figure-1 node graph, which survives as the
+test oracle ``tests/oracles/node_walk.py``; the golden-equivalence suite
+(``tests/test_tree_compiled.py``) enforces the match.
 
 :class:`CompiledForest` stacks the members of an ensemble into one flat
 arena (child indices offset per member) and scores all of them against

@@ -48,10 +48,6 @@ class RandomForestClassifier(ServingScorerMixin):
             Forwarded to every member tree (paper-default values).
         bootstrap: Sample rows with replacement per tree when True.
         seed: Seed / generator for reproducible resampling.
-        backend: ``"compiled"`` (default) stacks the members into one
-            :class:`~repro.tree.compiled.CompiledForest` and scores every
-            (tree, row) lane in a single vectorised pass; ``"node"``
-            loops the reference per-tree object-graph walk.
         n_jobs: Worker processes for fitting members (``None`` defers to
             ``REPRO_N_JOBS``, default serial; ``0``/negative = all
             cores).  Fitted members are identical at any ``n_jobs`` —
@@ -71,14 +67,12 @@ class RandomForestClassifier(ServingScorerMixin):
         max_depth: Optional[int] = None,
         bootstrap: bool = True,
         seed: RandomState = None,
-        backend: str = "compiled",
         n_jobs: Optional[int] = None,
     ):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = int(n_trees)
         self.max_features = max_features
-        self.backend = backend
         self.tree_params = dict(
             minsplit=minsplit,
             minbucket=minbucket,
@@ -87,7 +81,6 @@ class RandomForestClassifier(ServingScorerMixin):
             class_weight=class_weight,
             loss_matrix=loss_matrix,
             max_depth=max_depth,
-            backend=backend,
         )
         self.bootstrap = bool(bootstrap)
         self.seed = seed
@@ -155,18 +148,10 @@ class RandomForestClassifier(ServingScorerMixin):
     def predict_proba(self, X: object) -> np.ndarray:
         """Ensemble-averaged class probabilities."""
         self._check_fitted()
-        matrix = check_2d("X", X)
-        if self.backend == "compiled":
-            predictions = self._batch_predictions(matrix)
-            votes = (predictions[:, :, None] == self.classes_[None, None, :]).sum(
-                axis=0, dtype=float
-            )
-            return votes / len(self.trees_)
-        votes = np.zeros((matrix.shape[0], len(self.classes_)), dtype=float)
-        for tree in self.trees_:
-            predictions = tree.predict(matrix)
-            for column, cls in enumerate(self.classes_):
-                votes[:, column] += predictions == cls
+        predictions = self._batch_predictions(check_2d("X", X))
+        votes = (predictions[:, :, None] == self.classes_[None, None, :]).sum(
+            axis=0, dtype=float
+        )
         return votes / len(self.trees_)
 
     def predict(self, X: object) -> np.ndarray:

@@ -50,9 +50,6 @@ class RandomForestRegressor(ServingScorerMixin):
         minsplit/minbucket/cp/max_depth: Forwarded to every member.
         bootstrap: Resample rows with replacement per tree.
         seed: Seed for reproducible resampling.
-        backend: ``"compiled"`` (default) scores the stacked
-            :class:`~repro.tree.compiled.CompiledForest` in one pass;
-            ``"node"`` loops the reference per-tree walk.
         n_jobs: Worker processes for fitting members (``None`` defers to
             ``REPRO_N_JOBS``, default serial; ``0``/negative = all
             cores).  Fitted members are identical at any ``n_jobs``.
@@ -68,17 +65,14 @@ class RandomForestRegressor(ServingScorerMixin):
         max_depth: Optional[int] = None,
         bootstrap: bool = True,
         seed: RandomState = None,
-        backend: str = "compiled",
         n_jobs: Optional[int] = None,
     ):
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
         self.n_trees = int(n_trees)
         self.max_features = max_features
-        self.backend = backend
         self.tree_params = dict(
             minsplit=minsplit, minbucket=minbucket, cp=cp, max_depth=max_depth,
-            backend=backend,
         )
         self.bootstrap = bool(bootstrap)
         self.seed = seed
@@ -125,11 +119,8 @@ class RandomForestRegressor(ServingScorerMixin):
         """Ensemble-averaged predictions."""
         if not self.trees_:
             raise RuntimeError("RandomForestRegressor is not fitted; call fit() first")
-        matrix = check_2d("X", X)
-        if self.backend == "compiled":
-            if self._compiled_forest is None:
-                self._compiled_forest = CompiledForest(
-                    [tree.compiled_ for tree in self.trees_]
-                )
-            return np.mean(self._compiled_forest.predict_matrix(matrix), axis=0)
-        return np.mean([tree.predict(matrix) for tree in self.trees_], axis=0)
+        if self._compiled_forest is None:
+            self._compiled_forest = CompiledForest(
+                [tree.compiled_ for tree in self.trees_]
+            )
+        return np.mean(self._compiled_forest.predict_matrix(check_2d("X", X)), axis=0)

@@ -10,7 +10,8 @@ child's arrays already sorted, so node-level split search (and surrogate
 search) becomes an ``O(d * n)`` scan.
 
 Two invariants make the presorted path bit-identical to the per-node
-re-sorting reference:
+re-sorting transcription (kept as the test oracle
+``tests/oracles/resort.py``):
 
 * **Tie order.**  The root order is a *stable* argsort over rows in
   ascending-index order, and boolean-mask partitioning preserves
@@ -31,7 +32,7 @@ per-lane arrays (and therefore every scored float) are unchanged.
 
 Because the sequences fed to the prefix-sum scoring are element-for-
 element identical, every gain, threshold and tie-break — and therefore
-every fitted tree — matches the reference path exactly (enforced by
+every fitted tree — matches the re-sorting oracle exactly (enforced by
 ``tests/test_tree_frontier.py``).
 """
 

@@ -96,7 +96,7 @@ def prune_to_alpha(tree: BaseDecisionTree, alpha: float) -> BaseDecisionTree:
             break
         found[1].make_leaf()
     # The deep copy carries the original's compiled arrays; rebuild them
-    # so the flat-array backend reflects the pruned graph.
+    # so the flat arrays reflect the pruned graph.
     pruned.recompile()
     return pruned
 

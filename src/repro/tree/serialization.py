@@ -28,7 +28,7 @@ FORMAT_VERSION = 1
 
 
 def _compiled_payload(tree) -> dict:
-    """The tree's flat-array form (compiling first if backend is lazy)."""
+    """The tree's flat-array form (compiling first if it was never built)."""
     if tree.compiled_ is None:
         tree.recompile()
     return tree.compiled_.to_dict()
@@ -37,7 +37,7 @@ def _compiled_payload(tree) -> dict:
 def _restore_compiled(tree, payload: dict) -> None:
     """Attach the serialised flat arrays, or rebuild them from the graph.
 
-    Payloads written before the compiled backend existed lack the
+    Payloads written before compiled inference existed lack the
     ``compiled`` section; those recompile from the node graph, which is
     lossless because the arrays are a pure function of the graph.
     """
@@ -123,8 +123,6 @@ def classification_tree_to_dict(tree: ClassificationTree) -> dict:
             "criterion": tree.criterion,
             "max_depth": tree.max_depth,
             "n_surrogates": tree.n_surrogates,
-            "backend": tree.backend,
-            "presort": tree.presort,
         },
         "classes": np.asarray(tree.classes_).tolist(),
         "n_features": tree.n_features_,
@@ -135,7 +133,11 @@ def classification_tree_to_dict(tree: ClassificationTree) -> dict:
 
 
 def classification_tree_from_dict(payload: dict) -> ClassificationTree:
-    """Rebuild a fitted classification tree from its dict form."""
+    """Rebuild a fitted classification tree from its dict form.
+
+    Keys the tree no longer has are ignored, so documents written when
+    trees still took ``backend`` and ``presort`` options load unchanged.
+    """
     _check_payload(payload, "classification_tree")
     params = payload["params"]
     tree = ClassificationTree(
@@ -146,8 +148,6 @@ def classification_tree_from_dict(payload: dict) -> ClassificationTree:
         loss_matrix=payload.get("loss_matrix"),
         max_depth=params["max_depth"],
         n_surrogates=params.get("n_surrogates", 0),
-        backend=params.get("backend", "compiled"),
-        presort=params.get("presort", True),
     )
     tree.classes_ = np.asarray(payload["classes"])
     tree.n_features_ = int(payload["n_features"])
@@ -168,8 +168,6 @@ def regression_tree_to_dict(tree: RegressionTree) -> dict:
             "cp": tree.cp,
             "max_depth": tree.max_depth,
             "n_surrogates": tree.n_surrogates,
-            "backend": tree.backend,
-            "presort": tree.presort,
         },
         "n_features": tree.n_features_,
         "root": _node_to_dict(root),
@@ -178,7 +176,8 @@ def regression_tree_to_dict(tree: RegressionTree) -> dict:
 
 
 def regression_tree_from_dict(payload: dict) -> RegressionTree:
-    """Rebuild a fitted regression tree from its dict form."""
+    """Rebuild a fitted regression tree from its dict form (legacy
+    ``backend``/``presort`` keys are ignored, as for classification)."""
     _check_payload(payload, "regression_tree")
     params = payload["params"]
     tree = RegressionTree(
@@ -187,8 +186,6 @@ def regression_tree_from_dict(payload: dict) -> RegressionTree:
         cp=params["cp"],
         max_depth=params["max_depth"],
         n_surrogates=params.get("n_surrogates", 0),
-        backend=params.get("backend", "compiled"),
-        presort=params.get("presort", True),
     )
     tree.n_features_ = int(payload["n_features"])
     tree.root_ = _node_from_dict(payload["root"])

@@ -6,15 +6,13 @@ two distinct sorted values — scored by information gain (classification)
 or by the resulting within-child sum of squares (regression).  Scoring
 is vectorised over candidate thresholds with prefix sums.
 
-Two entry points share that scoring:
-
-* :func:`find_best_split` — the reference path; re-sorts each feature at
-  the node (``O(d * n log n)`` per node).
-* :func:`find_best_split_presorted` — reads the node's pre-partitioned
-  sort orders from a :class:`~repro.tree.frontier.FrontierNode`
-  (``O(d * n)`` per node).  Bit-identical to the reference because both
-  feed element-for-element identical sorted sequences to the same
-  scoring functions.
+:func:`find_best_split_presorted` reads the node's pre-partitioned sort
+orders from a :class:`~repro.tree.frontier.FrontierNode` (``O(d * n)``
+per node) instead of re-sorting every feature at every node
+(``O(d * n log n)``).  The re-sorting transcription of Algorithms 1/2
+survives as a test oracle (``tests/oracles/resort.py``); it feeds
+element-for-element identical sorted sequences to the same scoring, so
+the fitted trees are bit-identical (``tests/test_tree_frontier.py``).
 
 Missing values (NaN) are ignored while scoring a feature and are routed
 to the heavier child when the node is actually split, mirroring how the
@@ -68,36 +66,6 @@ _ROW_IMPURITY = {"entropy": _entropy_rows, "gini": _gini_rows}
 _NODE_IMPURITY = {"entropy": entropy, "gini": gini}
 
 
-def best_classification_split(
-    feature_values: np.ndarray,
-    class_indices: np.ndarray,
-    weights: np.ndarray,
-    n_classes: int,
-    *,
-    minbucket: int = 1,
-    criterion: str = "entropy",
-) -> Optional[tuple[float, float]]:
-    """Best (threshold, gain) for one feature at a classification node.
-
-    Returns ``None`` when no admissible split exists (constant feature,
-    all-missing feature, or minbucket unreachable).  Gain is measured on
-    the node's *finite-valued* samples, matching the convention that NaNs
-    carry no split information.
-    """
-    finite = np.isfinite(feature_values)
-    x = feature_values[finite]
-    if x.size < 2 * minbucket:
-        return None
-    cls = class_indices[finite]
-    w = weights[finite]
-
-    order = np.argsort(x, kind="stable")
-    return _sorted_classification_split(
-        x[order], cls[order], w[order], n_classes,
-        minbucket=minbucket, criterion=criterion,
-    )
-
-
 def _sorted_classification_split(
     x_sorted: np.ndarray,
     cls_sorted: np.ndarray,
@@ -109,8 +77,8 @@ def _sorted_classification_split(
 ) -> Optional[tuple[float, float]]:
     """Score a classification feature whose finite values are pre-sorted.
 
-    The shared inner loop of the reference and presorted paths; inputs
-    are the node's finite values ascending (ties in row order) with the
+    The per-feature scorer behind multi-class node search; inputs are
+    the node's finite values ascending (ties in row order) with the
     matching class indices and weights.
     """
     if x_sorted.size < 2 * minbucket:
@@ -401,77 +369,6 @@ def _node_impurity_pair(t0: float, t1: float, criterion: str) -> float:
     return float(1.0 - (sq[0] + sq[1]))
 
 
-def best_regression_split(
-    feature_values: np.ndarray,
-    targets: np.ndarray,
-    weights: np.ndarray,
-    *,
-    minbucket: int = 1,
-) -> Optional[tuple[float, float]]:
-    """Best (threshold, SSE-reduction) for one feature at a regression node.
-
-    The paper's Algorithm 2 selects the split minimising
-    ``sq = sq_left + sq_right``; we return the equivalent maximisation of
-    ``SSE(parent) - sq`` so classification and regression share a single
-    "larger gain is better" contract.
-    """
-    finite = np.isfinite(feature_values)
-    x = feature_values[finite]
-    if x.size < 2 * minbucket:
-        return None
-    y = targets[finite]
-    w = weights[finite]
-
-    order = np.argsort(x, kind="stable")
-    return _sorted_regression_split(
-        x[order], y[order], w[order], minbucket=minbucket
-    )
-
-
-def _sorted_regression_split(
-    x_sorted: np.ndarray,
-    y_sorted: np.ndarray,
-    w_sorted: np.ndarray,
-    *,
-    minbucket: int,
-) -> Optional[tuple[float, float]]:
-    """Score a regression feature whose finite values are pre-sorted."""
-    if x_sorted.size < 2 * minbucket:
-        return None
-    boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
-    if boundaries.size == 0:
-        return None
-    left_sizes = boundaries + 1
-    admissible = (left_sizes >= minbucket) & (x_sorted.size - left_sizes >= minbucket)
-    boundaries = boundaries[admissible]
-    if boundaries.size == 0:
-        return None
-
-    wy = w_sorted * y_sorted
-    wyy = wy * y_sorted
-    cw = np.cumsum(w_sorted)
-    cwy = np.cumsum(wy)
-    cwyy = np.cumsum(wyy)
-
-    def _sse(sum_w: np.ndarray, sum_wy: np.ndarray, sum_wyy: np.ndarray) -> np.ndarray:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            means_term = np.where(sum_w > 0, sum_wy**2 / sum_w, 0.0)
-        return sum_wyy - means_term
-
-    left_sse = _sse(cw[boundaries], cwy[boundaries], cwyy[boundaries])
-    right_sse = _sse(cw[-1] - cw[boundaries], cwy[-1] - cwy[boundaries], cwyy[-1] - cwyy[boundaries])
-    parent_sse = _sse(np.array([cw[-1]]), np.array([cwy[-1]]), np.array([cwyy[-1]]))[0]
-    gains = parent_sse - (left_sse + right_sse)
-
-    best = int(np.argmax(gains))
-    gain = float(gains[best])
-    if gain < -1e-12 or not np.isfinite(gain):
-        return None
-    boundary = boundaries[best]
-    threshold = float((x_sorted[boundary] + x_sorted[boundary + 1]) / 2.0)
-    return threshold, max(gain, 0.0)
-
-
 def _regression_node_split_batched(
     frontier_node: FrontierNode,
     X: np.ndarray,
@@ -489,8 +386,8 @@ def _regression_node_split_batched(
     subtraction happen once over the concatenated (left; right) child
     statistics of all features.  ``wy``/``wyy`` are the fit-wide
     ``w · y`` / ``w · y · y`` columns.  Bit-identical to the per-feature
-    reference — same elementwise IEEE-754 sequence, segment ``argmax``
-    equals per-feature ``argmax``.
+    re-sorting oracle (``tests/oracles/resort.py``) — same elementwise
+    IEEE-754 sequence, segment ``argmax`` equals per-feature ``argmax``.
     """
     scored: list = []  # (feature, x_sorted, boundaries)
     tws: list = []
@@ -595,49 +492,6 @@ def _regression_node_split_batched(
     return SplitCandidate(best_feature, best_threshold, best_gain, goes_left)
 
 
-def find_best_split(
-    X: np.ndarray,
-    *,
-    task: str,
-    weights: np.ndarray,
-    minbucket: int,
-    class_indices: Optional[np.ndarray] = None,
-    n_classes: int = 0,
-    targets: Optional[np.ndarray] = None,
-    criterion: str = "entropy",
-    feature_subset: Optional[np.ndarray] = None,
-) -> Optional[SplitCandidate]:
-    """Search every (feature, threshold) pair at a node; return the best.
-
-    ``feature_subset`` restricts the search to the given feature indices
-    (used by the random-forest extension); ``None`` searches all columns.
-    """
-    if task not in ("classification", "regression"):
-        raise ValueError(f"task must be classification or regression, got {task!r}")
-    features = (
-        np.arange(X.shape[1]) if feature_subset is None else np.asarray(feature_subset)
-    )
-    best: Optional[SplitCandidate] = None
-    for feature in features:
-        column = X[:, feature]
-        if task == "classification":
-            found = best_classification_split(
-                column, class_indices, weights, n_classes,
-                minbucket=minbucket, criterion=criterion,
-            )
-        else:
-            found = best_regression_split(
-                column, targets, weights, minbucket=minbucket
-            )
-        if found is None:
-            continue
-        threshold, gain = found
-        if best is None or gain > best.gain:
-            goes_left = _missing_side(column, weights, threshold)
-            best = SplitCandidate(int(feature), threshold, gain, goes_left)
-    return best
-
-
 def find_best_split_presorted(
     frontier_node: FrontierNode,
     X: np.ndarray,
@@ -648,39 +502,39 @@ def find_best_split_presorted(
     minbucket: int,
     class_indices: Optional[np.ndarray] = None,
     n_classes: int = 0,
-    targets: Optional[np.ndarray] = None,
     criterion: str = "entropy",
     binary_class_weights: Optional[tuple[np.ndarray, np.ndarray]] = None,
     target_products: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> Optional[SplitCandidate]:
-    """Presorted node split search — :func:`find_best_split` without sorts.
+    """Search every (feature, threshold) pair at a node; return the best.
 
     ``frontier_node`` carries the node's per-feature sorted row ids and
-    values; ``X``/``weights``/``class_indices``/``targets`` are the
-    *fit-wide* arrays (indexed by global row id), and ``indices`` the
-    node's rows in ascending order (used only for the NaN-routing
-    tie-break, which the reference computes in row order).
+    values; ``X``/``weights``/``class_indices`` are the *fit-wide*
+    arrays (indexed by global row id), and ``indices`` the node's rows
+    in ascending order (used only for the NaN-routing tie-break, which
+    is computed in row order).
 
     ``binary_class_weights`` (two-class fits) and ``target_products``
-    (regression fits) are fit-wide precomputed product columns —
-    ``(w·[cls==0], w·[cls==1])`` and ``(w·y, w·y·y)`` respectively —
-    hoisted out of the per-node loop; elementwise products commute with
-    row gathering, so the scored floats are unchanged.  When omitted
-    the general scorers recompute them per feature.
+    (regression fits, required) are fit-wide precomputed product
+    columns — ``(w·[cls==0], w·[cls==1])`` and ``(w·y, w·y·y)``
+    respectively — hoisted out of the per-node loop; elementwise
+    products commute with row gathering, so the scored floats are
+    unchanged.  Classification without ``binary_class_weights`` scores
+    feature by feature with the general C-class scorer.
     """
-    if task not in ("classification", "regression"):
-        raise ValueError(f"task must be classification or regression, got {task!r}")
-    if task == "classification" and binary_class_weights is not None and n_classes == 2:
-        w0, w1 = binary_class_weights
-        return _binary_node_split_batched(
-            frontier_node, X, indices, weights, w0, w1,
-            minbucket=minbucket, criterion=criterion,
-        )
-    if task == "regression" and target_products is not None:
+    if task == "regression":
         wy, wyy = target_products
         return _regression_node_split_batched(
             frontier_node, X, indices, weights, wy, wyy,
             minbucket=minbucket,
+        )
+    if task != "classification":
+        raise ValueError(f"task must be classification or regression, got {task!r}")
+    if binary_class_weights is not None:
+        w0, w1 = binary_class_weights
+        return _binary_node_split_batched(
+            frontier_node, X, indices, weights, w0, w1,
+            minbucket=minbucket, criterion=criterion,
         )
     best: Optional[SplitCandidate] = None
     node_weights: Optional[np.ndarray] = None
@@ -688,15 +542,10 @@ def find_best_split_presorted(
         rows, x_sorted = frontier_node.sorted_finite(feature)
         if rows.size < 2 * minbucket:
             continue
-        if task == "classification":
-            found = _sorted_classification_split(
-                x_sorted, class_indices[rows], weights[rows], n_classes,
-                minbucket=minbucket, criterion=criterion,
-            )
-        else:
-            found = _sorted_regression_split(
-                x_sorted, targets[rows], weights[rows], minbucket=minbucket
-            )
+        found = _sorted_classification_split(
+            x_sorted, class_indices[rows], weights[rows], n_classes,
+            minbucket=minbucket, criterion=criterion,
+        )
         if found is None:
             continue
         threshold, gain = found

@@ -39,93 +39,6 @@ class SurrogateSplit:
     agreement: float
 
 
-def find_surrogate_splits(
-    X: np.ndarray,
-    primary_left: np.ndarray,
-    weights: np.ndarray,
-    *,
-    exclude_feature: int,
-    max_surrogates: int = 3,
-) -> tuple[SurrogateSplit, ...]:
-    """Rank surrogate rules that mimic a primary split.
-
-    Args:
-        X: The node's sample matrix.
-        primary_left: Boolean mask — the primary split's left assignment
-            (only rows with a finite primary value should be passed).
-        weights: Sample weights aligned with ``X``.
-        exclude_feature: The primary split's feature (never a surrogate).
-        max_surrogates: How many rules to keep (rpart default keeps up
-            to 5; we default to 3).
-
-    Returns surrogates sorted by agreement, best first; only rules that
-    beat the majority-direction baseline are admitted.
-    """
-    if max_surrogates <= 0 or X.shape[0] == 0:
-        return ()
-    left_weight = float(weights[primary_left].sum())
-    right_weight = float(weights[~primary_left].sum())
-    total = left_weight + right_weight
-    if total <= 0:
-        return ()
-    baseline = max(left_weight, right_weight) / total
-
-    found: list[SurrogateSplit] = []
-    for feature in range(X.shape[1]):
-        if feature == exclude_feature:
-            continue
-        column = X[:, feature]
-        finite = np.isfinite(column)
-        if finite.sum() < 2:
-            continue
-        x = column[finite]
-        is_left = primary_left[finite]
-        w = weights[finite]
-        observed = float(w.sum())
-        if observed <= 0:
-            continue
-
-        order = np.argsort(x, kind="stable")
-        x_sorted = x[order]
-        boundaries = np.nonzero(x_sorted[:-1] < x_sorted[1:])[0]
-        if boundaries.size == 0:
-            continue
-        left_w = np.where(is_left[order], w[order], 0.0)
-        right_w = np.where(is_left[order], 0.0, w[order])
-        cum_left = np.cumsum(left_w)
-        cum_right = np.cumsum(right_w)
-        total_left = cum_left[-1]
-        total_right = cum_right[-1]
-
-        # "x < thr goes left": matches = left-labeled below + right-labeled above.
-        normal = cum_left[boundaries] + (total_right - cum_right[boundaries])
-        # Reversed direction: the complement.
-        reversed_ = cum_right[boundaries] + (total_left - cum_left[boundaries])
-
-        best_normal = int(np.argmax(normal))
-        best_reversed = int(np.argmax(reversed_))
-        if normal[best_normal] >= reversed_[best_reversed]:
-            boundary, matched, less_left = best_normal, normal[best_normal], True
-        else:
-            boundary, matched, less_left = best_reversed, reversed_[best_reversed], False
-        agreement = float(matched) / observed
-        if agreement <= baseline + 1e-12:
-            continue
-        index = boundaries[boundary]
-        threshold = float((x_sorted[index] + x_sorted[index + 1]) / 2.0)
-        found.append(
-            SurrogateSplit(
-                feature=int(feature),
-                threshold=threshold,
-                less_goes_left=less_left,
-                agreement=agreement,
-            )
-        )
-
-    found.sort(key=lambda s: s.agreement, reverse=True)
-    return tuple(found[:max_surrogates])
-
-
 def find_surrogate_splits_presorted(
     frontier_node: FrontierNode,
     X: np.ndarray,
@@ -136,14 +49,17 @@ def find_surrogate_splits_presorted(
     primary_threshold: float,
     max_surrogates: int = 3,
 ) -> tuple[SurrogateSplit, ...]:
-    """Presorted surrogate search — :func:`find_surrogate_splits` without sorts.
+    """Rank surrogate rules that mimic a node's primary split.
 
     Reads each candidate feature's sorted order from the node's
     :class:`~repro.tree.frontier.FrontierNode` instead of argsorting it,
-    and keeps every weight reduction in the reference's summation order
-    so the admission test and agreement ranking are bit-identical.
+    and keeps every weight reduction in the summation order of the
+    per-node re-sorting oracle (``tests/oracles/resort.py``) so the
+    admission test and agreement ranking are bit-identical to it.
     ``X``/``weights`` are the fit-wide arrays; ``indices`` the node's
-    rows in ascending order.
+    rows in ascending order; ``max_surrogates`` caps how many rules are
+    kept.  Returns surrogates sorted by agreement, best first; only
+    rules that beat the majority-direction baseline are admitted.
     """
     if max_surrogates <= 0:
         return ()

@@ -1,7 +1,8 @@
-"""Golden parity suite: ``engine="columnar"`` is bit-identical to ``engine="object"``.
+"""Golden parity suite: the columnar FleetMonitor is bit-identical to the object oracle.
 
 Mirrors the compiled-vs-node tree pattern: the per-drive object engine
-is the oracle; every observable surface of the columnar engine — alerts,
+(``tests/oracles/object_monitor.py``) is the oracle; every observable
+surface of the columnar engine that serves every ``FleetMonitor`` — alerts,
 faults, health_report, structured-event stream (including ordering),
 metrics counters, SLO state, quarantine decisions — must match it
 bit-for-bit across clean and fault-injected streams.  Only the
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 from repro.core.config import CTConfig
 from repro.core.predictor import DriveFailurePredictor
 from repro.detection import (
+    ColumnarEngine,
     FleetMonitor,
     MajorityVoteMatrix,
     MeanThresholdMatrix,
@@ -35,8 +37,11 @@ from repro.smart.attributes import N_CHANNELS
 from repro.smart.dataset import SmartDataset
 from repro.smart.generator import default_fleet_config
 from repro.utils.errors import FaultKind
+from tests.oracles.object_monitor import ObjectFleetMonitor
 
-ENGINES = ("object", "columnar")
+#: The oracle first, then the production monitor.
+MONITORS = {"object": ObjectFleetMonitor, "columnar": FleetMonitor}
+ENGINES = tuple(MONITORS)
 
 FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
 
@@ -52,11 +57,10 @@ def _score_batch(X):
 
 def _build(engine, detector=None, **kwargs):
     kwargs.setdefault("score_batch", _score_batch)
-    return FleetMonitor(
+    return MONITORS[engine](
         FEATURES,
         score_sample=_score_sample,
         detector_factory=detector or (lambda: OnlineMajorityVote(3)),
-        engine=engine,
         **kwargs,
     )
 
@@ -231,7 +235,9 @@ class TestVoterMatrices:
         class Custom:
             pass
 
-        with pytest.raises(ValueError, match="engine='object'"):
+        with pytest.raises(
+            ValueError, match="OnlineMajorityVote and OnlineMeanThreshold"
+        ):
             window_matrix_for(Custom())
 
     def test_columnar_monitor_rejects_custom_detectors_early(self):
@@ -239,7 +245,7 @@ class TestVoterMatrices:
             def push(self, score):
                 return False
 
-        with pytest.raises(ValueError, match="Custom"):
+        with pytest.raises(ValueError, match="built a Custom;"):
             _build("columnar", detector=lambda: Custom())
 
 
@@ -368,12 +374,11 @@ class TestGoldenParity:
     def test_mean_threshold_engine_parity(self):
         states = []
         for engine in ENGINES:
-            monitor = FleetMonitor(
+            monitor = MONITORS[engine](
                 FEATURES,
                 score_sample=lambda row: float(np.nansum(row)),
                 detector_factory=lambda: OnlineMeanThreshold(4, threshold=0.0),
                 score_batch=lambda X: np.nansum(X, axis=1),
-                engine=engine,
             )
             rng = np.random.default_rng(11)
             for hour in range(30):
@@ -506,10 +511,9 @@ class TestFromPredictor:
         for engine in ENGINES:
             log = enable_events()
             try:
-                monitor = FleetMonitor.from_predictor(
+                monitor = MONITORS[engine].from_predictor(
                     predictor,
                     detector_factory=lambda: OnlineMajorityVote(3),
-                    engine=engine,
                 )
                 assert monitor.tree is predictor.tree_
                 for drive in drives:
@@ -535,7 +539,7 @@ class TestFromPredictor:
         monitor = FleetMonitor.from_predictor(
             predictor, detector_factory=lambda: OnlineMajorityVote(3)
         )
-        assert monitor.engine == "columnar"
+        assert isinstance(monitor._engine, ColumnarEngine)
         assert monitor.score_batch is not None
 
     def test_unfitted_predictor_is_rejected(self):

@@ -62,9 +62,7 @@ def _score_paging_batch(X):
 def _build_single(**kwargs):
     kwargs.setdefault("score_batch", _score_batch)
     kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return FleetMonitor(
-        FEATURES, score_sample=_score_sample, engine="columnar", **kwargs
-    )
+    return FleetMonitor(FEATURES, score_sample=_score_sample, **kwargs)
 
 
 def _build_sharded(n_shards, **kwargs):

@@ -13,7 +13,6 @@ from repro.detection.streaming import (
     Alert,
     DriveStatus,
     FleetMonitor,
-    OnlineFeatureBuffer,
     OnlineMajorityVote,
     OnlineMeanThreshold,
     QuarantinePolicy,
@@ -22,6 +21,7 @@ from repro.detection.voting import MajorityVoteDetector, MeanThresholdDetector
 from repro.features.selection import critical_features
 from repro.features.vectorize import Feature
 from repro.smart.attributes import N_CHANNELS, channel_index
+from tests.oracles.object_monitor import OnlineFeatureBuffer
 
 
 class TestOnlineFeatureBuffer:

@@ -9,8 +9,9 @@ The contract under test:
   ``alert_id`` (exact) or drive serial (legacy fallback), and alerts
   without ground truth count as ``unresolved`` — they can never skew a
   subtree's precision;
-* (hypothesis) reports aggregated under ``backend="compiled"`` and
-  ``backend="node"`` path extraction are identical, and a report
+* (hypothesis) reports aggregated from compiled path extraction and
+  from the node-walk oracle (``tests/oracles/node_walk.py``) are
+  identical, and a report
   replayed from a torn-tail-tolerant log matches the live run
   byte-for-byte;
 * multi-log merges fold exactly like the equivalent single stream.
@@ -49,6 +50,7 @@ from repro.observability.events import (
 from repro.smart.attributes import N_CHANNELS
 from repro.tree import ClassificationTree
 from repro.utils.errors import TornEventLogWarning
+from tests.oracles.node_walk import node_walk
 
 
 @pytest.fixture(autouse=True)
@@ -59,13 +61,15 @@ def _restore_instruments():
 
 @functools.lru_cache(maxsize=4)
 def _fit_tree(backend: str, seed: int = 0) -> ClassificationTree:
+    """The fitted tree; ``backend="node"`` wraps it in the node-walk oracle."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(300, N_CHANNELS))
     X[rng.random(X.shape) < 0.1] = np.nan
     y = np.where(np.nansum(X[:, :3], axis=1) > 0, 1, -1)
-    return ClassificationTree(
-        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2, backend=backend
+    tree = ClassificationTree(
+        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2
     ).fit(X, y)
+    return node_walk(tree) if backend == "node" else tree
 
 
 def _alerting_monitor(tree) -> FleetMonitor:

@@ -13,8 +13,9 @@ The contract under test:
 * redundancy summaries expose importance spread across splits, path
   co-occurrence interaction, and substitution for anti-correlated
   importances;
-* batched ``decision_paths`` equals per-row ``decision_path`` under
-  both tree backends.
+* batched ``decision_paths`` equals per-row ``decision_path``, both on
+  compiled trees and through the node-walk oracle
+  (``tests/oracles/node_walk.py``).
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from repro.explain import (
     summarize_redundancy,
 )
 from repro.tree import ClassificationTree
+from tests.oracles.node_walk import node_walk
 
 
 @pytest.fixture(autouse=True)
@@ -192,8 +194,9 @@ class TestDecisionPathsBatched:
         X[::7, 1] = np.nan  # exercise surrogate/missing routing
         tree = ClassificationTree(
             minsplit=4, minbucket=2, cp=0.001, n_surrogates=2,
-            backend=backend,
         ).fit(X, y)
+        if backend == "node":
+            tree = node_walk(tree)
         batched = tree.decision_paths(X)
         for row, chain in zip(X, batched):
             walked = tuple(node.node_id for node in tree.decision_path(row))
@@ -201,12 +204,8 @@ class TestDecisionPathsBatched:
 
     def test_batched_paths_identical_across_backends(self):
         X, y = _xor_free_data(seed=4)
-        compiled = ClassificationTree(
-            minsplit=4, minbucket=2, cp=0.001, backend="compiled"
-        ).fit(X, y)
-        node = ClassificationTree(
-            minsplit=4, minbucket=2, cp=0.001, backend="node"
-        ).fit(X, y)
+        compiled = ClassificationTree(minsplit=4, minbucket=2, cp=0.001).fit(X, y)
+        node = node_walk(compiled)
         assert compiled.decision_paths(X) == node.decision_paths(X)
 
 

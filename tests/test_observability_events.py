@@ -8,7 +8,8 @@ The contract under test, end to end:
   ``health_report`` fault/quarantine/vote-flip counters — the log is an
   audit artefact, not a best-effort trace;
 * ``alert_raised`` provenance (decision path, voting window, model
-  generation) is identical under the compiled and node tree backends;
+  generation) is identical from a compiled tree and from the node-walk
+  oracle (``tests/oracles/node_walk.py``);
 * SLO burn-rate monitors ignite exactly once per excursion and replay
   from the log;
 * events emitted inside pooled workers ship home in the result
@@ -58,6 +59,7 @@ from repro.smart.attributes import N_CHANNELS
 from repro.tree import ClassificationTree
 from repro.utils.errors import TornEventLogWarning
 from repro.utils.parallel import run_tasks
+from tests.oracles.node_walk import node_walk
 
 
 @pytest.fixture(autouse=True)
@@ -300,13 +302,15 @@ class TestTornTailTolerance:
 
 
 def _fit_tree(backend: str, seed: int = 0) -> ClassificationTree:
+    """The fitted tree; ``backend="node"`` wraps it in the node-walk oracle."""
     rng = np.random.default_rng(seed)
     X = rng.normal(size=(300, N_CHANNELS))
     X[rng.random(X.shape) < 0.1] = np.nan
     y = np.where(np.nansum(X[:, :3], axis=1) > 0, 1, -1)
-    return ClassificationTree(
-        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2, backend=backend
+    tree = ClassificationTree(
+        minsplit=8, minbucket=3, cp=0.001, n_surrogates=2
     ).fit(X, y)
+    return node_walk(tree) if backend == "node" else tree
 
 
 def _alerting_monitor(tree=None, *, slo=None) -> FleetMonitor:

@@ -252,7 +252,6 @@ def test_kill9_recovery(tmp_path, chaos_report):
             score_batch=_chaos_score_batch,
             detector_factory=VoterSpec("majority", 3),
             quarantine=QuarantinePolicy(fault_limit=3),
-            engine="columnar",
         )
 
     def state_of(monitor):

@@ -1,9 +1,9 @@
-"""Golden-equivalence tests for the compiled flat-array backend.
+"""Golden-equivalence tests for compiled flat-array inference.
 
 The compiled representation must be *bit-identical* to the paper-faithful
-node-walk reference (``backend="node"``) — including NaN/inf routing,
-surrogate splits, pruning, ensembles and serialization — so every check
-here uses exact comparisons, never tolerances.
+node-walk oracle (``tests/oracles/node_walk.py``) — including NaN/inf
+routing, surrogate splits, pruning, ensembles and serialization — so
+every check here uses exact comparisons, never tolerances.
 """
 
 from __future__ import annotations
@@ -35,6 +35,7 @@ from repro.tree.serialization import (
     classification_tree_from_dict,
     classification_tree_to_dict,
 )
+from tests.oracles.node_walk import node_walk
 
 
 def make_matrix(n_rows, n_features=8, *, nan_frac=0.15, inf_frac=0.01, seed=0):
@@ -54,10 +55,9 @@ def make_labels(X, seed=0):
 
 
 def fit_pair(X, y, **params):
-    """The same tree fitted under both backends."""
-    compiled = ClassificationTree(backend="compiled", **params).fit(X, y)
-    node = ClassificationTree(backend="node", **params).fit(X, y)
-    return compiled, node
+    """One fitted tree, scored compiled and through the node-walk oracle."""
+    compiled = ClassificationTree(**params).fit(X, y)
+    return compiled, node_walk(compiled)
 
 
 class TestGoldenEquivalence:
@@ -92,7 +92,7 @@ class TestGoldenEquivalence:
             X.shape[0]
         )
         compiled = RegressionTree(cp=0.001, n_surrogates=2).fit(X, target)
-        node = RegressionTree(cp=0.001, n_surrogates=2, backend="node").fit(X, target)
+        node = node_walk(compiled)
         Xt = make_matrix(400, seed=8)
         assert np.array_equal(compiled.predict(Xt), node.predict(Xt))
         assert np.array_equal(compiled.apply(Xt), node.apply(Xt))
@@ -119,13 +119,12 @@ class TestGoldenEquivalence:
         )
 
     def test_backend_switch_on_fitted_tree(self):
-        """Flipping ``backend`` after fit reroutes without refitting."""
+        """The node walk reroutes an already-fitted tree without refitting."""
         X = make_matrix(300, seed=9)
         y = make_labels(X)
         tree = ClassificationTree(minsplit=8, cp=0.001).fit(X, y)
         batched = tree.predict(X)
-        tree.backend = "node"
-        assert np.array_equal(tree.predict(X), batched)
+        assert np.array_equal(node_walk(tree).predict(X), batched)
 
 
 class TestEnsembleEquivalence:
@@ -134,7 +133,7 @@ class TestEnsembleEquivalence:
         y = make_labels(X)
         Xt = make_matrix(300, seed=11)
         compiled = RandomForestClassifier(n_trees=8, seed=2).fit(X, y)
-        node = RandomForestClassifier(n_trees=8, seed=2, backend="node").fit(X, y)
+        node = node_walk(compiled)
         assert np.array_equal(compiled.predict_proba(Xt), node.predict_proba(Xt))
         assert np.array_equal(compiled.predict(Xt), node.predict(Xt))
 
@@ -143,7 +142,7 @@ class TestEnsembleEquivalence:
         target = np.where(np.isfinite(X[:, 1]), X[:, 1], 0.0) * 3.0
         Xt = make_matrix(300, seed=13)
         compiled = RandomForestRegressor(n_trees=6, seed=2).fit(X, target)
-        node = RandomForestRegressor(n_trees=6, seed=2, backend="node").fit(X, target)
+        node = node_walk(compiled)
         assert np.array_equal(compiled.predict(Xt), node.predict(Xt))
 
     def test_adaboost_identical(self):
@@ -151,7 +150,7 @@ class TestEnsembleEquivalence:
         y = make_labels(X)
         Xt = make_matrix(300, seed=15)
         compiled = AdaBoostClassifier(n_rounds=6).fit(X, y)
-        node = AdaBoostClassifier(n_rounds=6, backend="node").fit(X, y)
+        node = node_walk(compiled)
         assert np.array_equal(
             compiled.decision_function(Xt), node.decision_function(Xt)
         )
@@ -175,11 +174,11 @@ class TestPruningAndSerialization:
         X = make_matrix(600, seed=18)
         y = make_labels(X)
         Xt = make_matrix(300, seed=19)
-        compiled, node = fit_pair(X, y, minsplit=6, minbucket=2, cp=0.0)
+        compiled, _ = fit_pair(X, y, minsplit=6, minbucket=2, cp=0.0)
         path = cost_complexity_path(compiled)
         for step in path[1 : len(path) : max(1, len(path) // 3)]:
             pruned_c = prune_to_alpha(compiled, step.alpha)
-            pruned_n = prune_to_alpha(node, step.alpha)
+            pruned_n = node_walk(pruned_c)
             assert np.array_equal(
                 pruned_c.predict_proba(Xt), pruned_n.predict_proba(Xt)
             )
@@ -207,13 +206,12 @@ class TestPruningAndSerialization:
                 assert np.array_equal(before, after), field
 
     def test_legacy_payload_without_compiled_section(self):
-        """Pre-backend payloads recompile from the node graph."""
+        """Payloads without flat arrays recompile from the node graph."""
         X = make_matrix(300, seed=22)
         y = make_labels(X)
         tree = ClassificationTree(minsplit=8, cp=0.001).fit(X, y)
         payload = classification_tree_to_dict(tree)
         del payload["compiled"]
-        del payload["params"]["backend"]
         loaded = classification_tree_from_dict(payload)
         assert loaded.compiled_ is not None
         Xt = make_matrix(100, seed=23)
@@ -279,7 +277,7 @@ class TestPipelineBatching:
 
 
 class TestScoreTimeFaultInjection:
-    """Golden check: fault-injected fleets route identically per backend.
+    """Golden check: fault-injected fleets route identically to the node walk.
 
     Trees are fitted on the *clean* fleet; the corruption arrives only at
     score time (the degraded-serving scenario), so every injected NaN/inf
@@ -376,14 +374,13 @@ class TestPropertyEquivalence:
     @given(matrix_with_missing(), st.integers(0, 3), st.integers(0, 2**16))
     @settings(max_examples=20, deadline=None)
     def test_decision_paths_agree_node_for_node(self, X, n_surrogates, label_seed):
-        """Alert provenance depends on both backends walking the same path.
+        """Alert provenance must name the path the node graph would take.
 
-        `alert_raised` events record the decision path of whatever
-        backend the monitor's tree happens to use, so the node walk
-        (`Node.route`, surrogate + majority fallback) and the compiled
-        walk (`decision_path_ids` over flat arrays) must agree
-        node-for-node — including rows with NaN/inf that exercise
-        surrogate routing.
+        `alert_raised` events record the compiled decision path
+        (`decision_path_ids` over flat arrays); it must agree
+        node-for-node with the node-walk oracle (`Node.route`,
+        surrogate + majority fallback) — including rows with NaN/inf
+        that exercise surrogate routing.
         """
         y = make_labels(X, seed=label_seed)
         if len(np.unique(y)) < 2:
@@ -394,10 +391,10 @@ class TestPropertyEquivalence:
         Xt = make_matrix(
             40, X.shape[1], nan_frac=0.35, inf_frac=0.05, seed=label_seed + 3
         )
-        backend = compiled._use_compiled()
-        assert backend is not None
+        flat = compiled.compiled_
+        assert flat is not None
         for row in Xt:
-            ids_compiled = backend.decision_path_ids(row)
+            ids_compiled = flat.decision_path_ids(row)
             path_node = node.decision_path(row)
             assert ids_compiled == [n.node_id for n in path_node]
             # Same leaf, same stats: provenance payloads match exactly.

@@ -1,12 +1,15 @@
-"""Presorted training frontier: units + golden equivalence to the reference.
+"""Presorted training frontier: units + golden equivalence to the oracle.
 
 The presorted path must be *bit-identical* to the per-node re-sorting
-transcription of Algorithms 1 and 2 — same splits, thresholds, gains,
-surrogates, and CP tables.  These tests pin that contract on both
-frontier layouts (ragged with missing values, dense fully-finite).
+transcription of Algorithms 1 and 2 (``tests/oracles/resort.py``) — same
+splits, thresholds, gains, surrogates, and CP tables.  These tests pin
+that contract on both frontier layouts (ragged with missing values,
+dense fully-finite).
 """
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from repro.tree.serialization import (
     classification_tree_from_dict,
     classification_tree_to_dict,
 )
+from tests.oracles.resort import ResortClassificationTree, ResortRegressionTree
 
 
 def tree_signature(node):
@@ -130,7 +134,7 @@ class TestTrainingFrontier:
 
 
 class TestGoldenEquivalence:
-    """presort=True trees are node-for-node identical to the reference."""
+    """Presorted trees are node-for-node identical to the re-sorting oracle."""
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("nan_frac", [0.0, 0.12])
@@ -140,8 +144,8 @@ class TestGoldenEquivalence:
         params = dict(
             minsplit=10, minbucket=3, cp=0.001, n_surrogates=3, criterion=criterion
         )
-        fast = ClassificationTree(presort=True, **params).fit(X, y, sample_weight=w)
-        slow = ClassificationTree(presort=False, **params).fit(X, y, sample_weight=w)
+        fast = ClassificationTree(**params).fit(X, y, sample_weight=w)
+        slow = ResortClassificationTree(**params).fit(X, y, sample_weight=w)
         assert tree_signature(fast.root_) == tree_signature(slow.root_)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -149,8 +153,8 @@ class TestGoldenEquivalence:
     def test_regression_identical(self, seed, nan_frac):
         X, _, y, w = make_data(seed, nan_frac=nan_frac, inf_frac=nan_frac / 6)
         params = dict(minsplit=10, minbucket=3, cp=0.0, n_surrogates=2)
-        fast = RegressionTree(presort=True, **params).fit(X, y, sample_weight=w)
-        slow = RegressionTree(presort=False, **params).fit(X, y, sample_weight=w)
+        fast = RegressionTree(**params).fit(X, y, sample_weight=w)
+        slow = ResortRegressionTree(**params).fit(X, y, sample_weight=w)
         assert tree_signature(fast.root_) == tree_signature(slow.root_)
 
     def test_multiclass_identical(self):
@@ -158,28 +162,31 @@ class TestGoldenEquivalence:
         # the fused two-class path.
         X, _, _, w = make_data(4)
         y = np.digitize(np.where(np.isfinite(X[:, 0]), X[:, 0], 0.0), [-5.0, 5.0])
-        fast = ClassificationTree(minsplit=10, minbucket=3, cp=0.0, presort=True)
-        slow = ClassificationTree(minsplit=10, minbucket=3, cp=0.0, presort=False)
+        fast = ClassificationTree(minsplit=10, minbucket=3, cp=0.0)
+        slow = ResortClassificationTree(minsplit=10, minbucket=3, cp=0.0)
         fast.fit(X, y, sample_weight=w)
         slow.fit(X, y, sample_weight=w)
         assert tree_signature(fast.root_) == tree_signature(slow.root_)
 
     def test_cp_tables_identical(self):
         X, y, _, _ = make_data(5, nan_frac=0.05)
-        fast = ClassificationTree(minsplit=6, minbucket=2, cp=0.0, presort=True).fit(X, y)
-        slow = ClassificationTree(minsplit=6, minbucket=2, cp=0.0, presort=False).fit(X, y)
+        fast = ClassificationTree(minsplit=6, minbucket=2, cp=0.0).fit(X, y)
+        slow = ResortClassificationTree(minsplit=6, minbucket=2, cp=0.0).fit(X, y)
         assert cost_complexity_path(fast) == cost_complexity_path(slow)
 
     def test_presort_round_trips_through_serialization(self):
         X, y, _, _ = make_data(6)
-        tree = ClassificationTree(minsplit=10, minbucket=3, presort=False).fit(X, y)
-        restored = classification_tree_from_dict(classification_tree_to_dict(tree))
-        assert restored.presort is False
+        tree = ResortClassificationTree(minsplit=10, minbucket=3).fit(X, y)
+        payload = classification_tree_to_dict(tree)
+        # Documents from when trees took a presort option still load.
+        payload["params"]["presort"] = False
+        restored = classification_tree_from_dict(json.loads(json.dumps(payload)))
+        assert not hasattr(restored, "presort")
         assert tree_signature(restored.root_) == tree_signature(tree.root_)
 
 
 class TestSurrogateAgreementRegression:
-    """Pin surrogate agreement scores: presort must not move them."""
+    """Pin surrogate agreement scores: presorting must not move them."""
 
     @staticmethod
     def _surrogate_table(tree):
@@ -192,8 +199,8 @@ class TestSurrogateAgreementRegression:
     def test_agreements_match_reference_exactly(self):
         X, y, _, w = make_data(7, n=400, nan_frac=0.2, inf_frac=0.03)
         params = dict(minsplit=10, minbucket=3, cp=0.0, n_surrogates=3)
-        fast = ClassificationTree(presort=True, **params).fit(X, y, sample_weight=w)
-        slow = ClassificationTree(presort=False, **params).fit(X, y, sample_weight=w)
+        fast = ClassificationTree(**params).fit(X, y, sample_weight=w)
+        slow = ResortClassificationTree(**params).fit(X, y, sample_weight=w)
         fast_table = self._surrogate_table(fast)
         assert fast_table == self._surrogate_table(slow)
         assert fast_table, "regime should produce at least one surrogate"
@@ -208,7 +215,7 @@ class TestSurrogateAgreementRegression:
         ])
         y = np.array([-1, -1, -1, -1, 1, 1, 1, 1])
         tree = ClassificationTree(
-            minsplit=2, minbucket=1, cp=0.0, n_surrogates=1, presort=True
+            minsplit=2, minbucket=1, cp=0.0, n_surrogates=1
         ).fit(X, y)
         root = tree.root_
         assert root.feature == 0

@@ -1,5 +1,8 @@
 """Tests for model persistence."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,6 +88,52 @@ class TestRegressionTreeRoundTrip:
         tree = RegressionTree(minsplit=4, minbucket=2, cp=0.0).fit(X, y)
         copy = regression_tree_from_dict(regression_tree_to_dict(tree))
         np.testing.assert_allclose(copy.predict(X), tree.predict(X))
+
+
+LEGACY = Path(__file__).parent / "fixtures" / "legacy_models"
+
+
+def _legacy_data():
+    """The data the checked-in legacy documents were fitted on."""
+    rng = np.random.default_rng(2014)
+    X = rng.normal(size=(90, 3))
+    X[rng.random(X.shape) < 0.1] = np.nan
+    signal = np.where(np.isfinite(X[:, 0]), X[:, 0], 0.0)
+    y = np.where(signal + 0.3 * rng.normal(size=90) > 0, 1, -1)
+    return X, y, signal + 0.1 * rng.normal(size=90)
+
+
+class TestLegacyDocuments:
+    """Documents saved with ``backend="node"``/``presort=False`` still load.
+
+    The fixtures were written by ``save_model`` when trees still took
+    those two options; loading ignores them and the tree predicts like
+    the one it came from (the same parameters refitted on the same data).
+    """
+
+    @pytest.mark.parametrize("name, cls, target", [
+        ("classification_tree_node_resort.json", ClassificationTree, "y"),
+        ("regression_tree_node_resort.json", RegressionTree, "t"),
+    ])
+    def test_legacy_options_are_ignored(self, name, cls, target):
+        path = LEGACY / name
+        params = json.loads(path.read_text())["params"]
+        assert params["backend"] == "node" and params["presort"] is False
+        loaded, names = load_model(path)
+        assert names == ["a", "b", "c"]
+        assert isinstance(loaded, cls)
+        assert not hasattr(loaded, "backend") and not hasattr(loaded, "presort")
+
+        X, y, t = _legacy_data()
+        kept = {k: v for k, v in params.items() if k not in ("backend", "presort")}
+        original = cls(**kept).fit(X, y if target == "y" else t)
+        probe = np.vstack([X, np.full((3, 3), np.nan), -X[:10]])
+        np.testing.assert_array_equal(loaded.apply(probe), original.apply(probe))
+        np.testing.assert_array_equal(loaded.predict(probe), original.predict(probe))
+        if cls is ClassificationTree:
+            np.testing.assert_array_equal(
+                loaded.predict_proba(probe), original.predict_proba(probe)
+            )
 
 
 class TestNetworkRoundTrip:

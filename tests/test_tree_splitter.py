@@ -1,13 +1,13 @@
-"""Tests for repro.tree.splitter."""
+"""Tests for repro.tree.splitter and the per-node re-sorting split oracle."""
 
 import numpy as np
 import pytest
 
-from repro.tree.splitter import (
+from repro.tree.splitter import partition
+from tests.oracles.resort import (
     best_classification_split,
     best_regression_split,
     find_best_split,
-    partition,
 )
 
 

@@ -8,11 +8,8 @@ from repro.tree.serialization import (
     classification_tree_from_dict,
     classification_tree_to_dict,
 )
-from repro.tree.surrogates import (
-    SurrogateSplit,
-    find_surrogate_splits,
-    route_left_with_surrogates,
-)
+from repro.tree.surrogates import SurrogateSplit, route_left_with_surrogates
+from tests.oracles.resort import find_surrogate_splits
 
 
 @pytest.fixture
@@ -168,8 +165,8 @@ class TestTreesWithSurrogates:
             ClassificationTree(n_surrogates=-1)
 
     def test_vectorised_routing_matches_per_sample_route(self, correlated_data):
-        # The batched _partition_rows path and Node.route must agree on
-        # every row, finite or masked.
+        # Compiled batch routing and the per-row decision path must
+        # agree on every row, finite or masked.
         X, y = correlated_data
         tree = ClassificationTree(
             minsplit=4, minbucket=2, cp=0.0, n_surrogates=2
