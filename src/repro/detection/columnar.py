@@ -46,11 +46,13 @@ from repro.detection.streaming import (
     TICKS_HELP,
     Alert,
     DriveStatus,
+    NormalizedTick,
     OnlineMajorityVote,
     OnlineMeanThreshold,
     _duplicate_serial_fault,
     _json_score,
     _normalize_tick,
+    _stack_items,
 )
 from repro.observability import get_event_log, get_registry
 from repro.observability.events import decision_path_payload
@@ -371,70 +373,77 @@ class ColumnarEngine:
         *,
         single: bool = False,
     ) -> list[Alert]:
-        """One collection tick from ``(serial, values)`` pairs.
+        """One collection tick from normalized ``(serial, values)`` pairs.
 
+        The pairs become one matrix first (:func:`_stack_items`), so a
+        non-numeric record raises before any row is allocated or fault
+        recorded; the tick is then served by :meth:`run`.
         ``single=True`` marks a batch-of-one coming from
         ``FleetMonitor.observe`` — scored through ``score_sample``, the
         single-record scorer.
         """
-        registry = get_registry()
-        strict = self.monitor.quarantine is None
-        if duplicates:
-            if strict:
-                # Record order: the tick counter covers the record that
-                # raises, nothing past it is reached.
-                registry.counter("serve.ticks", help=TICKS_HELP).inc()
-                serial = duplicates[0]
-                self._fault_row(
-                    serial, self._row_for(serial),
-                    _duplicate_serial_fault(serial, hour),
-                )
-            registry.counter("serve.ticks", help=TICKS_HELP).inc(len(duplicates))
-            for serial in duplicates:
-                self._fault_row(
-                    serial, self._row_for(serial),
-                    _duplicate_serial_fault(serial, hour),
-                )
-        n_before = len(self._serials)
-        n = len(items)
-        serials = [serial for serial, _ in items]
-        rows = np.fromiter(
-            (self._row_for(serial) for serial in serials), dtype=np.intp, count=n
+        roster, matrix, bad_shape = _stack_items(items)
+        return self.run(
+            NormalizedTick(hour, roster, matrix, tuple(duplicates), bad_shape, single)
         )
-        values = np.empty((n, N_CHANNELS))
-        bad_shape: dict[int, tuple] = {}
-        for at, (_, channel_values) in enumerate(items):
-            array = np.asarray(channel_values, dtype=float)
-            if array.shape != (N_CHANNELS,):
-                bad_shape[at] = array.shape
-                values[at] = np.nan
-            else:
-                values[at] = array
-        return self._process(hour, serials, rows, values, bad_shape, n_before, single)
 
     def tick_matrix(
         self, hour: float, roster: tuple, matrix: np.ndarray
     ) -> list[Alert]:
         """One collection tick as an aligned channel matrix (zero-copy).
 
-        Row resolution is cached by roster identity: register a fleet
-        once and repeated ticks touch no per-drive python at all.
+        A roster that repeats a serial is normalized first (last write
+        wins, see :func:`_normalize_tick`).
         """
+        cache = self._roster_cache
+        cached = cache is not None and cache[0] is roster
+        if not cached and len(set(roster)) != len(roster):
+            items, duplicates = _normalize_tick(zip(roster, matrix))
+            return self.tick(hour, items, duplicates)
+        return self.run(NormalizedTick(hour, roster, matrix))
+
+    def run(self, tick: NormalizedTick) -> list[Alert]:
+        """Serve one :class:`NormalizedTick`: duplicate faults, then the gate.
+
+        Row resolution for the registered roster (``roster=None`` or the
+        tuple ``register_fleet`` fixed) is cached by identity, so
+        repeated registered ticks touch no per-drive python at all;
+        ad-hoc rosters never evict that cache.
+        """
+        hour = tick.hour
+        if tick.duplicates:
+            registry = get_registry()
+            if self.monitor.quarantine is None:
+                # Record order: the tick counter covers the record that
+                # raises, nothing past it is reached.
+                registry.counter("serve.ticks", help=TICKS_HELP).inc()
+                serial = tick.duplicates[0]
+                self._fault_row(
+                    serial, self._row_for(serial),
+                    _duplicate_serial_fault(serial, hour),
+                )
+            registry.counter("serve.ticks", help=TICKS_HELP).inc(len(tick.duplicates))
+            for serial in tick.duplicates:
+                self._fault_row(
+                    serial, self._row_for(serial),
+                    _duplicate_serial_fault(serial, hour),
+                )
+        registered = self.monitor._tick_serials
+        roster = tick.roster if tick.roster is not None else registered
+        n_before = len(self._serials)
         cache = self._roster_cache
         if cache is not None and cache[0] is roster:
             rows = cache[1]
-            n_before = len(self._serials)
         else:
-            if len(set(roster)) != len(roster):
-                items, duplicates = _normalize_tick(zip(roster, matrix))
-                return self.tick(hour, items, duplicates)
-            n_before = len(self._serials)
             rows = np.fromiter(
                 (self._row_for(serial) for serial in roster),
                 dtype=np.intp, count=len(roster),
             )
-            self._roster_cache = (roster, rows)
-        return self._process(hour, roster, rows, matrix, {}, n_before, False)
+            if roster is registered:
+                self._roster_cache = (roster, rows)
+        return self._process(
+            hour, roster, rows, tick.matrix, tick.bad_shape, n_before, tick.single
+        )
 
     # -- the vectorized hot path ----------------------------------------------
 

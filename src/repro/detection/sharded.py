@@ -10,13 +10,21 @@ on long-lived worker processes (``mode="process"``, one
 :class:`~repro.utils.parallel.WorkerHost` per shard) — and merges the
 per-shard results back into one coordinator-level truth:
 
+* **One tick** — every ingress (:meth:`~ShardedFleetMonitor.observe`,
+  ``observe_fleet``, ``observe_tick`` and the pinned feed) is
+  validated and converted at the coordinator into one
+  :class:`~repro.detection.streaming.NormalizedTick`: a duplicate-free
+  roster (or the registered one), an aligned channel matrix (or the
+  pinned feed), the duplicate serials, the wrong-shape records and the
+  single-record flag.  One dispatch path slices it into one shard
+  payload shape; the supervised journal records it as one entry kind.
 * **Alerts** come home per shard with shard-local ids, are re-ordered
-  into the tick's global record order and re-assigned dense coordinator
-  ids, so ``alerts``/``alert_id`` are bit-identical to a single
-  columnar monitor over the same stream.
+  into the tick's roster order and re-assigned dense coordinator ids,
+  so ``alerts``/``alert_id`` are bit-identical to a single columnar
+  monitor over the same stream.
 * **Faults** merge deterministically: duplicate-serial faults in global
-  discovery order, then record faults in global record order — the
-  exact list a single monitor would have appended.
+  discovery order, then record faults in roster order — the exact
+  list a single monitor would have appended.
 * **Observability** ships home in
   :class:`~repro.observability.RemoteObservation` envelopes (the same
   protocol as :func:`~repro.utils.parallel.run_tasks`): shard counters
@@ -60,7 +68,8 @@ import pickle
 import warnings
 import zlib
 from collections import deque
-from dataclasses import dataclass, field, replace
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 from pathlib import Path
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
@@ -72,10 +81,14 @@ from repro.detection.streaming import (
     Alert,
     DriveStatus,
     FleetMonitor,
+    NormalizedTick,
     OnlineMajorityVote,
     OnlineMeanThreshold,
     QuarantinePolicy,
+    _aligned_matrix,
     _normalize_tick,
+    _stack_items,
+    _tick_instrumentation,
 )
 from repro.features.vectorize import Feature
 from repro.observability import (
@@ -87,7 +100,6 @@ from repro.observability import (
     get_tracer,
     worker_config,
 )
-from repro.smart.attributes import N_CHANNELS
 from repro.utils.checkpoint import (
     SHARD_SNAPSHOT_KIND,
     JsonCheckpoint,
@@ -247,7 +259,7 @@ class _ShardBuilder:
     spec: ShardSpec
 
     def __call__(self) -> dict:
-        return {"monitor": self.spec.build(), "roster": None, "feed": None}
+        return {"monitor": self.spec.build(), "feed": None}
 
 
 @dataclass(frozen=True)
@@ -257,12 +269,7 @@ class _PickledShard:
     blob: bytes
 
     def __call__(self) -> dict:
-        state = pickle.loads(self.blob)
-        return {
-            "monitor": state["monitor"],
-            "roster": state.get("roster"),
-            "feed": None,
-        }
+        return {"monitor": pickle.loads(self.blob)["monitor"], "feed": None}
 
 
 @dataclass
@@ -281,6 +288,83 @@ class _Deployment:
     control_drives: int = 0
 
 
+@dataclass
+class _RosterLayout:
+    """A tick roster, sorted out and partitioned across the shards.
+
+    ``roster`` holds the unique serials in first-position order and
+    ``take`` each one's row (its final occurrence) in a matrix aligned
+    with the raw serials — ``None`` when nothing repeats; ``duplicates``
+    are the overridden occurrences.  ``buckets[sid]`` are the ascending
+    roster indices shard ``sid`` owns, ``sub_rosters[sid]`` their
+    serials, and ``pos`` maps serial → roster index, the merge's order.
+    ``register_fleet`` builds the registered roster's layout once;
+    ad-hoc ticks build one per tick.
+    """
+
+    roster: tuple[str, ...]
+    take: Optional[np.ndarray]
+    duplicates: tuple[str, ...]
+    buckets: list[np.ndarray]
+    sub_rosters: list[tuple[str, ...]]
+    pos: dict[str, int]
+    #: Whether the coordinator's first-seen order already covers it.
+    noted: bool = False
+
+    @classmethod
+    def of(cls, serials: Sequence[str], n_shards: int) -> "_RosterLayout":
+        roster = tuple(serials)
+        take = None
+        duplicates: list[str] = []
+        if len(set(roster)) != len(roster):
+            items, duplicates = _normalize_tick(zip(roster, range(len(roster))))
+            roster = tuple(serial for serial, _ in items)
+            take = np.fromiter((at for _, at in items), dtype=np.intp, count=len(items))
+        buckets: list[list[int]] = [[] for _ in range(n_shards)]
+        for at, serial in enumerate(roster):
+            buckets[shard_for(serial, n_shards)].append(at)
+        return cls(
+            roster=roster,
+            take=take,
+            duplicates=tuple(duplicates),
+            buckets=[np.asarray(ix, dtype=np.intp) for ix in buckets],
+            sub_rosters=[tuple(roster[at] for at in ix) for ix in buckets],
+            pos={serial: at for at, serial in enumerate(roster)},
+        )
+
+
+def _shard_payload(tick: NormalizedTick, layout: _RosterLayout, sid: int) -> dict:
+    """Shard ``sid``'s slice of ``tick``: the one shard tick payload.
+
+    Always ``hour`` and ``shard``; the rest only when present —
+    ``roster`` (ad-hoc ticks; registered ticks use the sub-roster
+    pinned shard-side), ``matrix`` (absent for the pinned feed), and
+    the shard's ``duplicates``, ``bad_shape`` (re-indexed into the
+    slice) and ``single``.  Live dispatch and journal replay both slice
+    through here.
+    """
+    n_shards = len(layout.buckets)
+    ix = layout.buckets[sid]
+    payload: dict = {"hour": tick.hour, "shard": sid}
+    if tick.roster is not None:
+        payload["roster"] = layout.sub_rosters[sid]
+    if tick.matrix is not None:
+        payload["matrix"] = tick.matrix[ix]
+    duplicates = [s for s in tick.duplicates if shard_for(s, n_shards) == sid]
+    if duplicates:
+        payload["duplicates"] = duplicates
+    bad_shape = {
+        int(np.searchsorted(ix, at)): shape
+        for at, shape in tick.bad_shape.items()
+        if shard_for(layout.roster[at], n_shards) == sid
+    }
+    if bad_shape:
+        payload["bad_shape"] = bad_shape
+    if tick.single:
+        payload["single"] = True
+    return payload
+
+
 # -- shard-side entry points ---------------------------------------------------
 #
 # Module-level ``func(state, payload)`` callables, executed either
@@ -290,35 +374,31 @@ class _Deployment:
 
 
 def _shard_tick(state: dict, payload: dict) -> dict:
+    """Serve one shard payload (see :func:`_shard_payload`).
+
+    A payload without ``roster`` ticks the sub-roster pinned on the
+    shard monitor; one without ``matrix`` ticks the pinned feed.
+    """
     monitor: FleetMonitor = state["monitor"]
-    hour = payload["hour"]
     shard = payload["shard"]
+    matrix = payload.get("matrix")
+    if matrix is None:
+        matrix = state["feed"]
+    tick = NormalizedTick(
+        payload["hour"],
+        payload.get("roster"),
+        matrix,
+        payload.get("duplicates", ()),
+        payload.get("bad_shape", {}),
+        payload.get("single", False),
+    )
     registry = get_registry()
     n_faults = len(monitor.faults)
     start = perf_counter() if registry.enabled else 0.0
-    if "matrix" in payload or payload.get("pinned"):
-        roster = payload.get("roster")
-        if roster is None:
-            roster = state["roster"]
-        matrix = payload.get("matrix")
-        if matrix is None:
-            matrix = state["feed"]
-        with get_tracer().span(
-            "shard.tick", category="shard", shard=shard, n_drives=len(roster)
-        ):
-            alerts = monitor.shard_tick(hour, None, None, roster=roster, matrix=matrix)
-    else:
-        items = payload["items"]
-        duplicates = payload["duplicates"]
-        with get_tracer().span(
-            "shard.tick", category="shard", shard=shard, n_drives=len(items)
-        ):
-            if payload.get("single"):
-                serial, values = items[0]
-                alert = monitor.observe(serial, hour, values)
-                alerts = [alert] if alert is not None else []
-            else:
-                alerts = monitor.shard_tick(hour, items, duplicates)
+    with get_tracer().span(
+        "shard.tick", category="shard", shard=shard, n_drives=len(matrix)
+    ):
+        alerts = monitor.shard_tick(tick)
     registry.counter(
         "shard.ticks", help=SHARD_TICKS_HELP, shard=str(shard)
     ).inc()
@@ -333,12 +413,11 @@ def _shard_finalize(state: dict, payload: object) -> dict:
     return {"alerts": state["monitor"].finalize(), "faults": []}
 
 
-def _shard_pin(state: dict, payload: dict) -> int:
+def _shard_pin(state: dict, payload: dict) -> None:
     if "roster" in payload:
-        state["roster"] = tuple(payload["roster"])
+        state["monitor"].register_fleet(payload["roster"])
     if "feed" in payload:
         state["feed"] = payload["feed"]
-    return len(state["roster"]) if state["roster"] is not None else 0
 
 
 def _shard_status(state: dict, payload: object) -> dict:
@@ -377,7 +456,7 @@ def _shard_apply_model(state: dict, payload: dict) -> int:
 
 def _shard_export(state: dict, payload: object) -> dict:
     """The picklable snapshot of one shard (pinned feeds are not state)."""
-    return {"monitor": state["monitor"], "roster": state["roster"]}
+    return {"monitor": state["monitor"]}
 
 
 class ShardedFleetMonitor:
@@ -474,9 +553,7 @@ class ShardedFleetMonitor:
             "feature_names": self._spec.feature_names,
         }
         self._roster: Optional[tuple[str, ...]] = None
-        self._partition: Optional[list[np.ndarray]] = None
-        self._sub_rosters: Optional[list[tuple[str, ...]]] = None
-        self._roster_noted = False
+        self._layout: Optional[_RosterLayout] = None
         self._feed_pinned = False
         self._quarantined: set[int] = set()
         if mode == "process":
@@ -691,7 +768,10 @@ class ShardedFleetMonitor:
         self, serial: str, hour: float, channel_values: Sequence[float]
     ) -> Optional[Alert]:
         """Ingest one record via its owning shard (see ``FleetMonitor.observe``)."""
-        alerts = self._tick(hour, [(serial, channel_values)], [], single=True)
+        roster, matrix, bad_shape = _stack_items([(serial, channel_values)])
+        alerts = self._dispatch_tick(
+            NormalizedTick(hour, roster, matrix, (), bad_shape, single=True)
+        )
         return alerts[0] if alerts else None
 
     def observe_fleet(
@@ -706,39 +786,29 @@ class ShardedFleetMonitor:
         single columnar monitor — sharding is invisible in the result.
         """
         items, duplicates = _normalize_tick(records)
-        return self._tick(hour, items, duplicates)
+        roster, matrix, bad_shape = _stack_items(items)
+        return self._dispatch_tick(
+            NormalizedTick(hour, roster, matrix, tuple(duplicates), bad_shape)
+        )
 
     def register_fleet(self, serials: Iterable[str]) -> tuple[str, ...]:
         """Fix the tick roster; partitions it and pins sub-rosters shard-side.
 
-        Pinning resolves each shard's serial→row keying once (worker-
-        resident in process mode), so repeated :meth:`observe_tick`
-        calls ship only the matrix slices.  A roster with duplicate
-        serials cannot be partitioned statically and falls back to the
-        normalizing path per tick.
+        The sorted-out roster, its partition and the serial→position
+        map are built once here, and each shard's sub-roster is pinned
+        (worker-resident in process mode), so repeated
+        :meth:`observe_tick` calls ship only the matrix slices.  A
+        roster that repeats a serial resolves last-write-wins on every
+        tick, with one ``duplicate-serial`` fault per overridden row.
         """
-        roster = tuple(serials)
-        self._roster = roster
-        self._roster_noted = False
+        self._roster = tuple(serials)
+        self._layout = _RosterLayout.of(self._roster, self.n_shards)
         self._feed_pinned = False
-        if len(set(roster)) != len(roster):
-            self._partition = None
-            self._sub_rosters = None
-            return roster
-        buckets: list[list[int]] = [[] for _ in range(self.n_shards)]
-        for at, serial in enumerate(roster):
-            buckets[shard_for(serial, self.n_shards)].append(at)
-        self._partition = [np.asarray(ix, dtype=np.intp) for ix in buckets]
-        self._sub_rosters = [
-            tuple(roster[i] for i in ix) for ix in buckets
-        ]
-        calls = [
-            (sid, _shard_pin, {"roster": self._sub_rosters[sid]})
-            for sid in self._active_shards()
-        ]
-        for _, envelope in self._raw_dispatch(calls):
-            self._absorb(envelope)
-        return roster
+        self._pin_shards(
+            self._active_shards(),
+            lambda sid: {"roster": self._layout.sub_rosters[sid]},
+        )
+        return self._roster
 
     def pin_feed(self, values: np.ndarray) -> None:
         """Ship each shard its static slice of the fleet matrix, once.
@@ -749,39 +819,31 @@ class ShardedFleetMonitor:
         resident slice — the coordinator sends one float per shard per
         tick instead of re-serializing gigabytes of telemetry.
         """
-        matrix = self._check_matrix(values)
-        if self._partition is None:
-            raise ValueError(
-                "pin_feed needs a duplicate-free roster: call "
-                "register_fleet() first"
-            )
-        calls = [
-            (
-                sid,
-                _shard_pin,
-                {
-                    "roster": self._sub_rosters[sid],
-                    "feed": matrix[self._partition[sid]],
-                },
-            )
-            for sid in self._active_shards()
-        ]
-        for _, envelope in self._raw_dispatch(calls):
-            self._absorb(envelope)
+        matrix = self._pinnable(values)
+        self._pin_shards(
+            self._active_shards(),
+            lambda sid: {"feed": matrix[self._layout.buckets[sid]]},
+        )
         self._feed_pinned = True
 
-    def _check_matrix(self, values: np.ndarray) -> np.ndarray:
+    def _pinnable(self, values: np.ndarray) -> np.ndarray:
+        """The validated feed matrix for :meth:`pin_feed` (raises first)."""
         if self._roster is None:
             raise ValueError(
                 "no tick roster: pass serials= or call register_fleet() first"
             )
-        matrix = np.ascontiguousarray(values, dtype=float)
-        if matrix.shape != (len(self._roster), N_CHANNELS):
+        matrix = _aligned_matrix(values, len(self._roster))
+        if self._layout.duplicates:
             raise ValueError(
-                f"values must have shape ({len(self._roster)}, {N_CHANNELS}), "
-                f"got {matrix.shape}"
+                "pin_feed needs a duplicate-free roster: call "
+                "register_fleet() first"
             )
         return matrix
+
+    def _pin_shards(self, shards: Iterable[int], payload_for: Callable) -> None:
+        calls = [(sid, _shard_pin, payload_for(sid)) for sid in shards]
+        for _, envelope in self._raw_dispatch(calls):
+            self._absorb(envelope)
 
     def observe_tick(
         self,
@@ -792,265 +854,157 @@ class ShardedFleetMonitor:
         """Ingest one collection tick as a channel matrix (the array path).
 
         With ``values=None`` the shards tick their pinned feed (see
-        :meth:`pin_feed`).  An explicit ``serials`` roster (or a
-        registered roster with duplicates) takes the normalizing
-        fallback path — correct, but re-partitioned per tick.
+        :meth:`pin_feed`).  An explicit ``serials`` roster is exactly
+        ``observe_fleet(hour, zip(serials, values))`` — correct, but
+        partitioned per tick.
         """
         if serials is not None:
-            roster = tuple(serials)
             if values is None:
                 raise ValueError("values is required with an explicit roster")
-            matrix = np.ascontiguousarray(values, dtype=float)
-            if matrix.shape != (len(roster), N_CHANNELS):
-                raise ValueError(
-                    f"values must have shape ({len(roster)}, {N_CHANNELS}), "
-                    f"got {matrix.shape}"
-                )
-            items, duplicates = _normalize_tick(zip(roster, matrix))
-            return self._tick(hour, items, duplicates)
+            roster = tuple(serials)
+            return self.observe_fleet(
+                hour, zip(roster, _aligned_matrix(values, len(roster)))
+            )
         if self._roster is None:
             raise ValueError(
                 "no tick roster: pass serials= or call register_fleet() first"
             )
         if values is None and not self._feed_pinned:
             raise ValueError("no pinned feed: pass values= or call pin_feed() first")
-        if self._partition is None:
-            matrix = self._check_matrix(values)
-            items, duplicates = _normalize_tick(zip(self._roster, matrix))
-            return self._tick(hour, items, duplicates)
-        matrix = self._check_matrix(values) if values is not None else None
-        if not self._roster_noted:
-            for serial in self._roster:
-                self._note_seen(serial)
-            self._roster_noted = True
-        calls = []
-        shard_sizes: dict[int, int] = {}
-        for sid in self._active_shards():
-            indices = self._partition[sid]
-            if len(indices) == 0:
-                continue
-            payload: dict = {"hour": hour, "shard": sid}
-            if matrix is not None:
-                payload["matrix"] = matrix[indices]
-            else:
-                payload["pinned"] = True
-            shard_sizes[sid] = len(indices)
-            calls.append((sid, _shard_tick, payload))
-        pos = {serial: at for at, serial in enumerate(self._roster)}
-        return self._instrumented_tick(
-            hour, len(self._roster), calls, pos, [], [], shard_sizes
+        layout = self._layout
+        matrix = None
+        if values is not None:
+            matrix = _aligned_matrix(values, len(self._roster))
+            if layout.take is not None:
+                matrix = matrix[layout.take]
+        return self._dispatch_tick(
+            NormalizedTick(hour, None, matrix, layout.duplicates)
         )
 
-    def _tick(
-        self,
-        hour: float,
-        items: list[tuple],
-        duplicates: list[str],
-        single: bool = False,
-    ) -> list[Alert]:
-        n = self.n_shards
-        per_items: list[list[tuple]] = [[] for _ in range(n)]
-        per_dups: list[list[str]] = [[] for _ in range(n)]
-        pos: dict[str, int] = {}
-        for at, (serial, values) in enumerate(items):
-            pos[serial] = at
-            per_items[shard_for(serial, n)].append((serial, values))
-        for serial in duplicates:
-            per_dups[shard_for(serial, n)].append(serial)
-        # First-seen bookkeeping mirrors the columnar engine's row
-        # allocation: duplicate occurrences register before the items.
-        for serial in duplicates:
-            self._note_seen(serial)
-        for serial, _ in items:
-            self._note_seen(serial)
-        calls = []
-        shard_sizes: dict[int, int] = {}
-        dup_counts: dict[int, int] = {}
-        for sid in self._active_shards():
-            if not per_items[sid] and not per_dups[sid]:
-                continue
-            shard_sizes[sid] = len(per_items[sid])
-            dup_counts[sid] = len(per_dups[sid])
-            calls.append(
-                (
-                    sid,
-                    _shard_tick,
-                    {
-                        "hour": hour,
-                        "shard": sid,
-                        "items": per_items[sid],
-                        "duplicates": per_dups[sid],
-                        "single": single,
-                    },
-                )
-            )
-        if single:
-            responses = self._raw_dispatch(calls)
-            self._last_hour = float(hour) if np.isfinite(hour) else self._last_hour
-            return self._merge_tick(responses, pos, duplicates, items, dup_counts)
-        return self._instrumented_tick(
-            hour, len(items), calls, pos, duplicates, items, shard_sizes, dup_counts
-        )
+    def _dispatch_tick(self, tick: NormalizedTick) -> list[Alert]:
+        """Fan one normalized tick out to its shards and merge the results.
 
-    def _instrumented_tick(
-        self,
-        hour: float,
-        n_drives: int,
-        calls: list,
-        pos: dict[str, int],
-        duplicates: list[str],
-        items: list[tuple],
-        shard_sizes: dict[int, int],
-        dup_counts: Optional[dict[int, int]] = None,
-    ) -> list[Alert]:
-        """Coordinator-level tick instrumentation (the single-monitor shape).
-
-        ``serve.fleet_ticks``, the ``serve.tick`` span and
-        ``serve.tick_seconds`` are emitted here exactly once per
-        logical tick — never per shard — so the merged registry equals
-        a single monitor's.
+        Every ingress ends here.  ``serve.fleet_ticks``, the
+        ``serve.tick`` span and ``serve.tick_seconds`` are emitted once
+        per logical tick — never per shard, and not for single-record
+        :meth:`observe` calls — so the merged registry equals a single
+        monitor's.
         """
-        registry = get_registry()
-        start = perf_counter() if registry.enabled else 0.0
-        with get_tracer().span("serve.tick", category="serve", n_drives=n_drives):
-            responses = self._raw_dispatch(calls)
-            alerts = self._merge_tick(
-                responses, pos, duplicates, items, dup_counts or {},
-                shard_sizes=shard_sizes,
-            )
-        registry.counter("serve.fleet_ticks", help="collection ticks").inc()
-        if registry.enabled:
-            registry.histogram(
-                "serve.tick_seconds", unit="seconds",
-                help="collection tick wall time",
-            ).observe(perf_counter() - start)
-        self._last_hour = float(hour) if np.isfinite(hour) else self._last_hour
-        self._maybe_resolve_deployment()
+        if tick.roster is None:
+            layout = self._layout
+        else:
+            layout = _RosterLayout.of(tick.roster, self.n_shards)
+        if not layout.noted:
+            # First-seen bookkeeping mirrors the columnar engine's row
+            # allocation: duplicate occurrences register before the roster.
+            for serial in (*tick.duplicates, *layout.roster):
+                self._note_seen(serial)
+            layout.noted = True
+        calls = [
+            (sid, _shard_tick, _shard_payload(tick, layout, sid))
+            for sid in self._active_shards()
+            if len(layout.buckets[sid])
+        ]
+        instruments = (
+            nullcontext() if tick.single else _tick_instrumentation(len(layout.roster))
+        )
+        with instruments:
+            alerts = self._merge_tick(self._raw_dispatch(calls), tick, layout)
+        self._last_hour = float(tick.hour) if np.isfinite(tick.hour) else self._last_hour
+        if not tick.single:
+            self._maybe_resolve_deployment()
         return alerts
 
-    def _merge_tick(
-        self,
-        responses: list[tuple[int, object]],
-        pos: dict[str, int],
-        duplicates: list[str],
-        items: list[tuple],
-        dup_counts: dict[int, int],
-        *,
-        shard_sizes: Optional[dict[int, int]] = None,
-    ) -> list[Alert]:
+    def _adopt_alerts(
+        self, responses: list[tuple[int, object]], position: Callable[[str], int]
+    ) -> tuple[dict[int, dict], list[tuple[int, Alert]]]:
+        """Unwrap shard responses and adopt their alerts in ``position`` order.
+
+        Shard-local alert ids become dense coordinator ids, so
+        ``alerts`` is bit-identical to one monitor's; envelopes are
+        absorbed in shard-id order with those ids rewritten, so the
+        merged event stream is ordered by (logical hour, shard id,
+        shard-local seq) and names the coordinator's alerts.  A ``None``
+        response (shard quarantined mid-call) has no result: its drives
+        go unserved, never unreported.  Returns the shard results and
+        the adopted ``(shard, alert)`` pairs.
+        """
         results: dict[int, dict] = {}
         envelopes: list[tuple[int, RemoteObservation]] = []
         for sid, envelope in responses:
-            if envelope is None:
-                # Quarantined mid-call: the shard has no result this
-                # tick; its drives go unserved, never unreported.
-                continue
             if isinstance(envelope, RemoteObservation):
                 results[sid] = envelope.result
                 envelopes.append((sid, envelope))
-            else:
+            elif envelope is not None:
                 results[sid] = envelope
-
-        # Alerts: shard-local ids -> dense coordinator ids, in the
-        # tick's global record order (bit-identical to one monitor).
-        tick_alerts: list[tuple[int, int, Alert]] = []
-        for sid in sorted(results):
-            for alert in results[sid]["alerts"]:
-                tick_alerts.append((pos[alert.serial], sid, alert))
-        tick_alerts.sort(key=lambda entry: entry[0])
+        found = sorted(
+            ((sid, alert) for sid in sorted(results) for alert in results[sid]["alerts"]),
+            key=lambda entry: position(entry[1].serial),
+        )
         id_maps: dict[int, dict] = {sid: {} for sid in results}
-        merged: list[Alert] = []
-        for _, sid, alert in tick_alerts:
+        adopted: list[tuple[int, Alert]] = []
+        for sid, alert in found:
             renamed = replace(alert, alert_id=f"alert-{len(self.alerts):04d}")
             id_maps[sid][alert.alert_id] = renamed.alert_id
             self.alerts.append(renamed)
             self._alerted_serials.add(renamed.serial)
-            merged.append(renamed)
+            adopted.append((sid, renamed))
+        for sid, envelope in envelopes:
+            self._absorb(envelope, id_maps[sid])
+        return results, adopted
 
-        # Faults: duplicate-serial faults in global discovery order,
-        # then record faults in global record order.
-        dup_queues: dict[int, deque] = {}
-        record_faults: dict[int, dict[str, SampleFault]] = {}
-        for sid, result in results.items():
-            k = dup_counts.get(sid, 0)
-            dup_queues[sid] = deque(result["faults"][:k])
-            record_faults[sid] = {fault.serial: fault for fault in result["faults"][k:]}
-        for serial in duplicates:
-            queue = dup_queues.get(shard_for(serial, self.n_shards))
+    def _merge_tick(
+        self,
+        responses: list[tuple[int, object]],
+        tick: NormalizedTick,
+        layout: _RosterLayout,
+    ) -> list[Alert]:
+        # Alerts in roster order; faults: every shard reports its
+        # duplicate-serial faults first, then record faults in
+        # sub-roster order — merged, duplicate faults in global
+        # discovery order, then record faults in roster order.
+        pos = layout.pos
+        results, adopted = self._adopt_alerts(responses, pos.__getitem__)
+        owners = [shard_for(serial, self.n_shards) for serial in tick.duplicates]
+        dup_queues = {
+            sid: deque(result["faults"][:owners.count(sid)])
+            for sid, result in results.items()
+        }
+        for sid in owners:
+            queue = dup_queues.get(sid)
             if queue:
                 self.faults.append(queue.popleft())
-        for serial, _ in items:
-            fault = record_faults.get(shard_for(serial, self.n_shards), {}).pop(
-                serial, None
-            )
-            if fault is not None:
-                self.faults.append(fault)
-        if not items and shard_sizes:
-            # Matrix path: records cannot fault by serial lookup order
-            # ambiguity (roster is duplicate-free), so any shard faults
-            # merge in roster order via the pos map.
-            leftovers = [
-                (pos[fault.serial], fault)
-                for sid in sorted(record_faults)
-                for fault in record_faults[sid].values()
-            ]
-            for _, fault in sorted(leftovers, key=lambda entry: entry[0]):
-                self.faults.append(fault)
+        record_faults = [
+            fault
+            for sid, result in results.items()
+            for fault in result["faults"][owners.count(sid):]
+        ]
+        self.faults.extend(sorted(record_faults, key=lambda fault: pos[fault.serial]))
 
-        # Observability: absorb envelopes in shard-id order with the
-        # alert ids rewritten, so the merged event stream is ordered by
-        # (logical hour, shard id, shard-local seq) and names the
-        # coordinator's alerts.
-        for sid, envelope in envelopes:
-            self._absorb(envelope, id_maps.get(sid))
-
-        # Canary soak accounting.
+        # Canary soak accounting (collection ticks only).
         deployment = self._deployment
-        if deployment is not None and shard_sizes is not None:
-            for sid, size in shard_sizes.items():
+        if deployment is not None and not tick.single:
+            for sid, _ in responses:
                 if sid in deployment.canaries:
-                    deployment.canary_drives += size
+                    deployment.canary_drives += len(layout.buckets[sid])
                 else:
-                    deployment.control_drives += size
-            for _, sid, _alert in tick_alerts:
+                    deployment.control_drives += len(layout.buckets[sid])
+            for sid, _ in adopted:
                 if sid in deployment.canaries:
                     deployment.canary_alerts += 1
                 else:
                     deployment.control_alerts += 1
             deployment.ticks += 1
-        return merged
+        return [alert for _, alert in adopted]
 
     def finalize(self) -> list[Alert]:
         """Short-history flush, merged in global first-seen order."""
         calls = [(sid, _shard_finalize, None) for sid in self._active_shards()]
-        responses = self._raw_dispatch(calls)
-        found: dict[str, tuple[int, Alert]] = {}
-        envelopes: list[tuple[int, RemoteObservation]] = []
-        for sid, envelope in responses:
-            if envelope is None:
-                continue
-            if isinstance(envelope, RemoteObservation):
-                result = envelope.result
-                envelopes.append((sid, envelope))
-            else:
-                result = envelope
-            for alert in result["alerts"]:
-                found[alert.serial] = (sid, alert)
-        id_maps: dict[int, dict] = {sid: {} for sid in range(self.n_shards)}
-        merged: list[Alert] = []
-        for serial in self._first_seen:
-            entry = found.get(serial)
-            if entry is None:
-                continue
-            sid, alert = entry
-            renamed = replace(alert, alert_id=f"alert-{len(self.alerts):04d}")
-            id_maps[sid][alert.alert_id] = renamed.alert_id
-            self.alerts.append(renamed)
-            self._alerted_serials.add(serial)
-            merged.append(renamed)
-        for sid, envelope in envelopes:
-            self._absorb(envelope, id_maps.get(sid))
-        return merged
+        first_seen = {serial: at for at, serial in enumerate(self._first_seen)}
+        _, adopted = self._adopt_alerts(
+            self._raw_dispatch(calls), first_seen.__getitem__
+        )
+        return [alert for _, alert in adopted]
 
     # -- model lifecycle and rolling deployment --------------------------------
 
@@ -1325,22 +1279,17 @@ class ShardedFleetMonitor:
                 _PickledShard(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
             )
         else:
-            self._shards[shard] = {
-                "monitor": state["monitor"],
-                "roster": state.get("roster"),
-                "feed": None,
-            }
+            self._shards[shard] = {"monitor": state["monitor"], "feed": None}
         self._quarantined.discard(shard)
         # The snapshot's roster may predate the coordinator's current
         # registration; re-pin the live sub-roster so the matrix path
         # keys rows correctly on the restored shard.  Feeds are
         # transient on *every* shard-side cell, so one lost feed
         # invalidates the fleet-wide pin — callers re-pin via pin_feed.
-        if self._sub_rosters is not None:
-            for _, envelope in self._raw_dispatch(
-                [(shard, _shard_pin, {"roster": self._sub_rosters[shard]})]
-            ):
-                self._absorb(envelope)
+        if self._layout is not None:
+            self._pin_shards(
+                [shard], lambda sid: {"roster": self._layout.sub_rosters[sid]}
+            )
         self._feed_pinned = False
         get_registry().counter(
             "shard.restores", help=SHARD_RESTORES_HELP

@@ -44,7 +44,8 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -118,6 +119,88 @@ def _normalize_tick(
             items[at] = (serial, values)
             duplicates.append(serial)
     return items, duplicates
+
+
+def _aligned_matrix(values: np.ndarray, n_drives: int) -> np.ndarray:
+    """``values`` as a contiguous float ``(n_drives, N_CHANNELS)`` matrix."""
+    matrix = np.ascontiguousarray(values, dtype=float)
+    if matrix.shape != (n_drives, N_CHANNELS):
+        raise ValueError(
+            f"values must have shape ({n_drives}, {N_CHANNELS}), "
+            f"got {matrix.shape}"
+        )
+    return matrix
+
+
+def _stack_items(
+    items: list[tuple],
+) -> tuple[tuple[str, ...], np.ndarray, dict[int, tuple]]:
+    """Convert normalized ``(serial, values)`` pairs into one channel matrix.
+
+    Returns the roster, a ``(len(items), N_CHANNELS)`` float matrix
+    aligned with it, and ``bad_shape`` (record index → offending shape)
+    for records the gate must fault as wrong-shape; their rows are NaN.
+    Conversion runs before any drive state is touched, so a record that
+    is not numeric at all raises ``ValueError`` with no side effects.
+    """
+    roster = tuple(serial for serial, _ in items)
+    matrix = np.empty((len(items), N_CHANNELS))
+    bad_shape: dict[int, tuple] = {}
+    for at, (serial, values) in enumerate(items):
+        try:
+            array = np.asarray(values, dtype=float)
+        except (TypeError, ValueError) as error:
+            raise ValueError(
+                f"drive {serial!r}: channel values are not numeric ({error})"
+            ) from error
+        if array.shape == (N_CHANNELS,):
+            matrix[at] = array
+        else:
+            bad_shape[at] = array.shape
+            matrix[at] = np.nan
+    return roster, matrix, bad_shape
+
+
+@contextmanager
+def _tick_instrumentation(n_drives: int):
+    """The once-per-collection-tick instruments around one tick.
+
+    The ``serve.tick`` span, ``serve.fleet_ticks`` and
+    ``serve.tick_seconds``; a sharded coordinator emits them itself,
+    once per logical tick, never per shard.
+    """
+    registry = get_registry()
+    start = perf_counter() if registry.enabled else 0.0
+    with get_tracer().span("serve.tick", category="serve", n_drives=n_drives):
+        yield
+    registry.counter("serve.fleet_ticks", help="collection ticks").inc()
+    if registry.enabled:
+        registry.histogram(
+            "serve.tick_seconds", unit="seconds", help="collection tick wall time",
+        ).observe(perf_counter() - start)
+
+
+@dataclass(frozen=True)
+class NormalizedTick:
+    """One collection tick in the one shape every serving path speaks.
+
+    ``roster`` holds unique serials (repeats already resolved
+    last-write-wins) and ``matrix`` the aligned ``(n, N_CHANNELS)``
+    readings.  ``duplicates`` lists the overridden occurrences in
+    discovery order, ``bad_shape`` maps record index → shape for
+    records the gate faults as wrong-shape, and ``single`` marks a
+    one-record :meth:`FleetMonitor.observe` call (scored through
+    ``score_sample``).  ``roster=None`` means the roster fixed by
+    ``register_fleet``; at the sharded coordinator ``matrix=None``
+    means the pinned feed.
+    """
+
+    hour: float
+    roster: Optional[tuple[str, ...]]
+    matrix: Optional[np.ndarray]
+    duplicates: tuple[str, ...] = ()
+    bad_shape: Mapping[int, tuple] = field(default_factory=dict)
+    single: bool = False
 
 
 class WindowedVoter:
@@ -423,7 +506,8 @@ class FleetMonitor:
         tick, in record order.
         """
         items, duplicates = _normalize_tick(records)
-        return self._run_tick(hour, items, duplicates)
+        with _tick_instrumentation(len(items)):
+            return self._engine.tick(hour, items, duplicates)
 
     def register_fleet(self, serials: Iterable[str]) -> tuple[str, ...]:
         """Fix the tick roster for :meth:`observe_tick`.
@@ -458,23 +542,11 @@ class FleetMonitor:
             raise ValueError(
                 "no tick roster: pass serials= or call register_fleet() first"
             )
-        matrix = np.ascontiguousarray(values, dtype=float)
-        if matrix.shape != (len(roster), N_CHANNELS):
-            raise ValueError(
-                f"values must have shape ({len(roster)}, {N_CHANNELS}), "
-                f"got {matrix.shape}"
-            )
-        return self._run_tick(hour, None, None, roster=roster, matrix=matrix)
+        matrix = _aligned_matrix(values, len(roster))
+        with _tick_instrumentation(len(roster)):
+            return self._engine.tick_matrix(hour, roster, matrix)
 
-    def shard_tick(
-        self,
-        hour: float,
-        items: Optional[list[tuple]],
-        duplicates: Optional[list[str]],
-        *,
-        roster: Optional[tuple[str, ...]] = None,
-        matrix: Optional[np.ndarray] = None,
-    ) -> list[Alert]:
+    def shard_tick(self, tick: NormalizedTick) -> list[Alert]:
         """One shard's slice of a coordinator tick (no tick instrumentation).
 
         The entry point :class:`~repro.detection.sharded.ShardedFleetMonitor`
@@ -487,41 +559,14 @@ class FleetMonitor:
         instrumentation (``serve.ticks``/``serve.faults``/... and the
         lifecycle events) is emitted normally.
 
-        Pass either normalized ``items``/``duplicates`` (from
-        :func:`_normalize_tick`) or an aligned ``roster``/``matrix``
-        pair (the zero-copy path; the roster must be duplicate-free).
+        ``tick`` is the :class:`NormalizedTick` the coordinator built,
+        sliced to this shard; its matrix must be present (the shard
+        resolves a pinned feed before calling).  ``roster=None`` ticks
+        the roster fixed by :meth:`register_fleet`, whose serial→row
+        resolution is cached, so the hot path touches no per-drive
+        python.
         """
-        if roster is not None:
-            return self._engine.tick_matrix(hour, roster, matrix)
-        return self._engine.tick(hour, items, duplicates)
-
-    def _run_tick(
-        self,
-        hour: float,
-        items: Optional[list[tuple]],
-        duplicates: Optional[list[str]],
-        *,
-        roster: Optional[tuple[str, ...]] = None,
-        matrix: Optional[np.ndarray] = None,
-    ) -> list[Alert]:
-        """Per-tick instrumentation around one engine tick."""
-        registry = get_registry()
-        start = perf_counter() if registry.enabled else 0.0
-        n_drives = len(roster) if roster is not None else len(items)
-        with get_tracer().span(
-            "serve.tick", category="serve", n_drives=n_drives
-        ):
-            if roster is not None:
-                alerts = self._engine.tick_matrix(hour, roster, matrix)
-            else:
-                alerts = self._engine.tick(hour, items, duplicates)
-        registry.counter("serve.fleet_ticks", help="collection ticks").inc()
-        if registry.enabled:
-            registry.histogram(
-                "serve.tick_seconds", unit="seconds",
-                help="collection tick wall time",
-            ).observe(perf_counter() - start)
-        return alerts
+        return self._engine.run(tick)
 
     def finalize(self) -> list[Alert]:
         """Apply the short-history rule to drives that never filled a window.

@@ -18,9 +18,9 @@ hand, and every tick since the last snapshot is silently gone.
   :class:`~repro.utils.errors.WorkerDiedError` and are handled at the
   same place.
 * **Write-ahead tick journal** — :class:`TickJournal` records every
-  tick payload (and the roster/feed context it depends on) *before* it
-  is dispatched: schema-tagged JSONL (``repro.tick-journal/v1``) with
-  ``.npy`` sidecars for matrices, fsync'd per append, torn-tail
+  normalized tick (and the roster/feed context it depends on) *before*
+  it is dispatched: schema-tagged JSONL (``repro.tick-journal/v2``)
+  with ``.npy`` sidecars for matrices, fsync'd per append, torn-tail
   tolerant on read.  Periodic snapshots through
   :class:`~repro.utils.checkpoint.JsonCheckpoint` truncate it, so the
   journal only ever holds the ticks since the last snapshot.
@@ -51,10 +51,8 @@ section in :meth:`SupervisedShardedMonitor.health_report`.  See
 
 from __future__ import annotations
 
-import base64
 import json
 import os
-import pickle
 import warnings
 from collections import deque
 from dataclasses import dataclass
@@ -65,12 +63,13 @@ import numpy as np
 
 from repro.detection.sharded import (
     ShardedFleetMonitor,
+    _RosterLayout,
     _ShardBuilder,
+    _shard_payload,
     _shard_pin,
     _shard_tick,
-    shard_for,
 )
-from repro.detection.streaming import _normalize_tick
+from repro.detection.streaming import NormalizedTick
 from repro.observability import (
     capture_remote,
     get_event_log,
@@ -82,7 +81,7 @@ from repro.utils.errors import TornEventLogWarning, WorkerDiedError
 from repro.utils.parallel import WorkerHost
 
 #: Schema tag on the journal's JSONL header line.
-TICK_JOURNAL_SCHEMA = "repro.tick-journal/v1"
+TICK_JOURNAL_SCHEMA = "repro.tick-journal/v2"
 
 SHARD_RECOVERIES_HELP = "shard workers respawned after an unexpected death"
 SHARD_REPLAYED_HELP = "journaled tick slices replayed into recovered shards"
@@ -117,16 +116,18 @@ class RestartPolicy:
 class TickJournal:
     """Append-only write-ahead log of everything a shard needs to replay.
 
-    One JSONL file (header line ``{"schema": "repro.tick-journal/v1"}``)
+    One JSONL file (header line ``{"schema": "repro.tick-journal/v2"}``)
     plus a ``<path>.d/`` sidecar directory holding matrices as ``.npy``
-    files.  Entry kinds:
+    files (loaded with ``allow_pickle=False``).  Entry kinds:
 
     * ``register`` — a tick roster was fixed (the serial list, inline);
     * ``pin`` — a fleet feed matrix was pinned (sidecar);
-    * ``tick`` — one collection tick: ``mode="matrix"`` carries the full
-      fleet matrix as a sidecar (or ``pinned: true`` for pinned-feed
-      ticks), ``mode="fleet"`` carries the normalized
-      ``(items, duplicates)`` payload as a base64 pickle inline.
+    * ``tick`` — one :class:`~repro.detection.streaming.NormalizedTick`,
+      whatever the ingress: ``hour``, then ``roster_id`` (the
+      registered roster) or ``roster`` (inline serials), the
+      ``duplicates``, ``bad_shape`` (``[index, shape]`` pairs) and
+      ``single`` when present, and the matrix as a ``sidecar`` — or
+      ``pinned: true`` for pinned-feed ticks.
 
     Durability contract (``fsync=True``, the default): a sidecar is
     written and fsync'd *before* the line referencing it, and each line
@@ -190,40 +191,29 @@ class TickJournal:
             "kind": "pin", "roster_id": int(roster_id), "sidecar": sidecar,
         })
 
-    def append_tick_matrix(
-        self,
-        hour: float,
-        roster_id: int,
-        *,
-        matrix: Optional[np.ndarray] = None,
-        pinned: bool = False,
-    ) -> None:
-        """Record one matrix-path tick, sidecar first (write-ahead order)."""
-        line: dict = {
-            "kind": "tick", "mode": "matrix",
-            "hour": float(hour), "roster_id": int(roster_id),
-        }
-        if pinned:
+    def append_tick_matrix(self, tick: NormalizedTick, roster_id: int) -> None:
+        """Record one normalized tick, sidecar first (write-ahead order).
+
+        ``roster_id`` names the registered roster a ``roster=None`` tick
+        rows align with; ad-hoc ticks carry their serials inline.
+        """
+        line: dict = {"kind": "tick", "hour": float(tick.hour)}
+        if tick.roster is None:
+            line["roster_id"] = int(roster_id)
+        else:
+            line["roster"] = list(tick.roster)
+        if tick.duplicates:
+            line["duplicates"] = list(tick.duplicates)
+        if tick.bad_shape:
+            line["bad_shape"] = [
+                [at, list(shape)] for at, shape in sorted(tick.bad_shape.items())
+            ]
+        if tick.single:
+            line["single"] = True
+        if tick.matrix is None:
             line["pinned"] = True
         else:
-            line["sidecar"] = self._write_sidecar(matrix)
-        self._write_line(line)
-        self.tick_count += 1
-
-    def append_tick_fleet(
-        self, hour: float, items: list, duplicates: list, single: bool = False
-    ) -> None:
-        """Record one normalized fleet tick (items inline, pickled)."""
-        blob = base64.b64encode(
-            pickle.dumps(
-                (items, duplicates), protocol=pickle.HIGHEST_PROTOCOL
-            )
-        ).decode("ascii")
-        line: dict = {
-            "kind": "tick", "mode": "fleet", "hour": float(hour), "blob": blob,
-        }
-        if single:
-            line["single"] = True
+            line["sidecar"] = self._write_sidecar(tick.matrix)
         self._write_line(line)
         self.tick_count += 1
 
@@ -232,11 +222,13 @@ class TickJournal:
     def _load_entry(self, line: dict) -> dict:
         entry = dict(line)
         if "sidecar" in entry:
-            entry["matrix"] = np.load(self.sidecar_dir / entry["sidecar"])
-        if "blob" in entry:
-            items, duplicates = pickle.loads(base64.b64decode(entry["blob"]))
-            entry["items"] = items
-            entry["duplicates"] = duplicates
+            entry["matrix"] = np.load(
+                self.sidecar_dir / entry["sidecar"], allow_pickle=False
+            )
+        if "bad_shape" in entry:
+            entry["bad_shape"] = {
+                int(at): tuple(shape) for at, shape in entry["bad_shape"]
+            }
         return entry
 
     def entries(self, *, tolerant: bool = True) -> list[dict]:
@@ -408,44 +400,19 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         return super().register_fleet(roster)
 
     def pin_feed(self, values: np.ndarray) -> None:
-        matrix = self._check_matrix(values)
+        matrix = self._pinnable(values)
         self._journal.append_pin(self._roster_id, matrix)
         self._context_pin = matrix
         super().pin_feed(matrix)
 
-    def _tick(self, hour, items, duplicates, single=False):
-        # Every normalizing ingestion path (observe, observe_fleet, the
-        # observe_tick fallbacks) funnels through here: probe, journal
-        # the write-ahead entry, then dispatch.
+    def _dispatch_tick(self, tick: NormalizedTick):
+        # Every ingress funnels through here as one validated normalized
+        # tick: probe, journal the write-ahead entry, then dispatch.
         self.probe_shards()
-        self._journal.append_tick_fleet(hour, items, duplicates, single)
-        alerts = super()._tick(hour, items, duplicates, single)
-        if single:
-            self._after_tick()
-        return alerts
-
-    def _instrumented_tick(self, *args, **kwargs):
-        alerts = super()._instrumented_tick(*args, **kwargs)
+        self._journal.append_tick_matrix(tick, self._roster_id)
+        alerts = super()._dispatch_tick(tick)
         self._after_tick()
         return alerts
-
-    def observe_tick(self, hour, values=None, serials=None):
-        if serials is None and self._roster is not None and self._partition is not None:
-            # The partitioned matrix fast path dispatches without going
-            # through _tick, so it gets its own write-ahead entry.
-            self.probe_shards()
-            if values is None and not self._feed_pinned:
-                raise ValueError(
-                    "no pinned feed: pass values= or call pin_feed() first"
-                )
-            matrix = self._check_matrix(values) if values is not None else None
-            self._journal.append_tick_matrix(
-                hour, self._roster_id, matrix=matrix, pinned=matrix is None,
-            )
-            return super().observe_tick(hour, matrix, None)
-        # Explicit-roster and duplicate-roster paths normalize into
-        # _tick, which journals them as fleet entries.
-        return super().observe_tick(hour, values, serials)
 
     def finalize(self):
         self.probe_shards()
@@ -653,61 +620,41 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
             # never merged; _handle_shard_death re-submits it through
             # the observed path instead.
             entries = entries[:-1]
-        n = self.n_shards
-        partition: Optional[np.ndarray] = None
-        roster: Optional[tuple[str, ...]] = None
+        registered: Optional[_RosterLayout] = None
         replayed = 0
         for entry in entries:
             kind = entry["kind"]
             if kind == "register":
-                roster = tuple(entry["roster"])
-                bucket = [
-                    at for at, serial in enumerate(roster)
-                    if shard_for(serial, n) == sid
-                ]
-                partition = np.asarray(bucket, dtype=np.intp)
+                registered = _RosterLayout.of(entry["roster"], self.n_shards)
                 self._replay_call(
-                    sid, _shard_pin,
-                    {"roster": tuple(roster[at] for at in bucket)},
+                    sid, _shard_pin, {"roster": registered.sub_rosters[sid]}
                 )
-            elif kind == "pin":
-                if partition is None:
-                    raise ValueError(
-                        f"{self._journal.path}: pin entry without a "
-                        f"preceding register entry"
-                    )
+                continue
+            if kind == "tick" and "roster" in entry:
+                layout = _RosterLayout.of(entry["roster"], self.n_shards)
+            elif registered is None:
+                raise ValueError(
+                    f"{self._journal.path}: {kind} entry without a "
+                    f"preceding register entry"
+                )
+            else:
+                layout = registered
+            if kind == "pin":
                 self._replay_call(
-                    sid, _shard_pin, {"feed": entry["matrix"][partition]}
+                    sid, _shard_pin, {"feed": entry["matrix"][layout.buckets[sid]]}
                 )
-            elif kind == "tick":
-                if entry["mode"] == "fleet":
-                    items = [
-                        (serial, values)
-                        for serial, values in entry["items"]
-                        if shard_for(serial, n) == sid
-                    ]
-                    duplicates = [
-                        serial for serial in entry["duplicates"]
-                        if shard_for(serial, n) == sid
-                    ]
-                    if not items and not duplicates:
-                        continue
-                    payload = {
-                        "hour": entry["hour"],
-                        "shard": sid,
-                        "items": items,
-                        "duplicates": duplicates,
-                        "single": bool(entry.get("single")),
-                    }
-                else:
-                    if partition is None or len(partition) == 0:
-                        continue
-                    payload = {"hour": entry["hour"], "shard": sid}
-                    if entry.get("pinned"):
-                        payload["pinned"] = True
-                    else:
-                        payload["matrix"] = entry["matrix"][partition]
-                self._replay_call(sid, _shard_tick, payload)
+            elif len(layout.buckets[sid]):
+                tick = NormalizedTick(
+                    entry["hour"],
+                    layout.roster if "roster" in entry else None,
+                    entry.get("matrix"),
+                    tuple(entry.get("duplicates", ())),
+                    entry.get("bad_shape", {}),
+                    entry.get("single", False),
+                )
+                self._replay_call(
+                    sid, _shard_tick, _shard_payload(tick, layout, sid)
+                )
                 replayed += 1
         return replayed
 

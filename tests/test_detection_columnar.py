@@ -492,6 +492,17 @@ class TestObserveTick:
             )
             assert monitor.watched_drives() == ["solo"]
 
+    def test_ad_hoc_ticks_keep_the_registered_row_cache(self):
+        monitor = _build("columnar")
+        monitor.register_fleet(["a", "b"])
+        monitor.observe_tick(0.0, np.ones((2, N_CHANNELS)))
+        cached = monitor._engine._roster_cache
+        assert cached is not None
+        monitor.observe_fleet(1.0, {"c": np.ones(N_CHANNELS)})
+        monitor.observe_tick(2.0, np.ones((1, N_CHANNELS)), serials=["d"])
+        monitor.observe("e", 3.0, np.ones(N_CHANNELS))
+        assert monitor._engine._roster_cache is cached
+
     def test_duplicate_roster_serials_fault(self):
         for engine in ENGINES:
             monitor = _build(engine)

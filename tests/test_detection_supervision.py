@@ -33,6 +33,7 @@ from repro.detection import (
     VoterSpec,
     shard_for,
 )
+from repro.detection.streaming import NormalizedTick
 from repro.detection.supervision import TICK_JOURNAL_SCHEMA
 from repro.features.vectorize import Feature
 from repro.observability import disable_metrics, enable_metrics, get_registry
@@ -207,10 +208,12 @@ class TestTickJournal:
         feed = self._matrix()
         journal.append_register(1, ("a", "b", "c", "d"))
         journal.append_pin(1, feed)
-        journal.append_tick_matrix(0.0, 1, matrix=feed)
-        journal.append_tick_matrix(1.0, 1, pinned=True)
-        items = [("a", np.ones(N_CHANNELS))]
-        journal.append_tick_fleet(2.0, items, ["a"], single=True)
+        journal.append_tick_matrix(NormalizedTick(0.0, None, feed), 1)
+        journal.append_tick_matrix(NormalizedTick(1.0, None, None), 1)
+        adhoc = self._matrix(rows=2, seed=1)
+        journal.append_tick_matrix(
+            NormalizedTick(2.0, ("a", "e"), adhoc, ("a",), {1: (3,)}, single=True), 1
+        )
         journal.close()
 
         entries = journal.entries()
@@ -219,11 +222,13 @@ class TestTickJournal:
         ]
         assert entries[0]["roster"] == ["a", "b", "c", "d"]
         assert np.array_equal(entries[1]["matrix"], feed)
+        assert entries[2]["roster_id"] == 1 and "roster" not in entries[2]
         assert np.array_equal(entries[2]["matrix"], feed)
-        assert entries[3]["pinned"] is True
-        assert entries[4]["items"][0][0] == "a"
-        assert np.array_equal(entries[4]["items"][0][1], np.ones(N_CHANNELS))
+        assert entries[3]["pinned"] is True and "matrix" not in entries[3]
+        assert entries[4]["roster"] == ["a", "e"]
+        assert np.array_equal(entries[4]["matrix"], adhoc)
         assert entries[4]["duplicates"] == ["a"]
+        assert entries[4]["bad_shape"] == {1: (3,)}
         assert entries[4]["single"] is True
         assert journal.tick_count == 3
 
@@ -245,10 +250,10 @@ class TestTickJournal:
         path = tmp_path / "j.jsonl"
         journal = TickJournal(path)
         journal.append_register(1, ("a",))
-        journal.append_tick_fleet(0.0, [("a", np.ones(N_CHANNELS))], [])
+        journal.append_tick_matrix(NormalizedTick(0.0, None, self._matrix(rows=1)), 1)
         journal.close()
         with path.open("a") as handle:
-            handle.write('{"kind": "tick", "mode": "fl')  # crashed mid-append
+            handle.write('{"kind": "tick", "hour": 1.0, "ros')  # crashed mid-append
         with pytest.warns(TornEventLogWarning, match="torn final"):
             entries = journal.entries()
         assert [e["kind"] for e in entries] == ["register", "tick"]
@@ -258,8 +263,8 @@ class TestTickJournal:
     def test_missing_final_sidecar_treated_as_torn(self, tmp_path):
         journal = TickJournal(tmp_path / "j.jsonl")
         journal.append_register(1, ("a", "b", "c", "d"))
-        journal.append_tick_matrix(0.0, 1, matrix=self._matrix())
-        journal.append_tick_matrix(1.0, 1, matrix=self._matrix(seed=1))
+        journal.append_tick_matrix(NormalizedTick(0.0, None, self._matrix()), 1)
+        journal.append_tick_matrix(NormalizedTick(1.0, None, self._matrix(seed=1)), 1)
         journal.close()
         sidecars = sorted(journal.sidecar_dir.glob("*.npy"))
         sidecars[-1].unlink()  # the crash window: line landed, bytes did not
@@ -283,7 +288,7 @@ class TestTickJournal:
         journal = TickJournal(tmp_path / "j.jsonl")
         feed = self._matrix()
         journal.append_register(1, ("a", "b", "c", "d"))
-        journal.append_tick_matrix(0.0, 1, matrix=feed)
+        journal.append_tick_matrix(NormalizedTick(0.0, None, feed), 1)
         journal.reset(roster_id=2, roster=("a", "b", "c", "d"), pin=feed)
         assert journal.tick_count == 0
         entries = journal.entries()
@@ -297,7 +302,7 @@ class TestTickJournal:
         path = tmp_path / "j.jsonl"
         first = TickJournal(path)
         first.append_register(1, ("a", "b", "c", "d"))
-        first.append_tick_matrix(0.0, 1, matrix=self._matrix())
+        first.append_tick_matrix(NormalizedTick(0.0, None, self._matrix()), 1)
         first.close()
         second = TickJournal(path)
         assert second.entries() == []
@@ -563,6 +568,216 @@ class TestProcessRecoveryParity:
             if event.type == "sample_scored"
         ]
         assert len(scored) == len(set(scored))
+
+
+def _mixed_ingress_stream(ticks=36, n_drives=16, seed=29):
+    """One pre-drawn stream cycling through every ingress shape.
+
+    Each entry is ``(shape, hour, payload)``; the draws do not depend on
+    the monitor, so a single monitor and a supervised one replay the
+    exact same records.
+    """
+    rng = np.random.default_rng(seed)
+    serials = tuple(f"x{d:02d}" for d in range(n_drives))
+    feed = rng.normal(size=(n_drives, N_CHANNELS))
+    dup_roster = serials[:6] + (serials[2],) + serials[6:]
+    stream = []
+    for hour in range(ticks):
+        shape = hour % 6
+        if shape == 0:  # per-drive observe(), one wrong-shape record
+            payload = [
+                (serial, rng.normal(size=N_CHANNELS)) for serial in serials[:5]
+            ]
+            payload[3] = (payload[3][0], np.ones(4))
+        elif shape == 1:  # observe_tick with an explicit roster
+            roster = serials[4:12]
+            payload = (roster, rng.normal(size=(len(roster), N_CHANNELS)))
+        elif shape == 2:  # registered roster with a duplicate serial
+            payload = (dup_roster, rng.normal(size=(len(dup_roster), N_CHANNELS)))
+        elif shape == 3:  # registered duplicate-free matrix
+            payload = (serials, rng.normal(size=(n_drives, N_CHANNELS)))
+        elif shape == 4:  # the pinned feed
+            payload = (serials, feed)
+        else:  # observe_fleet with a repeated serial and a wrong shape
+            payload = [(serial, rng.normal(size=N_CHANNELS)) for serial in serials]
+            payload.append((serials[7], rng.normal(size=N_CHANNELS)))
+            payload[9] = (payload[9][0], np.ones(3))
+        stream.append((shape, float(hour), payload))
+    return stream
+
+
+def _drive_mixed(monitor, stream, *, kill_at=None):
+    """Replay a mixed-ingress stream; pinned ticks pin on sharded monitors."""
+    sharded = isinstance(monitor, ShardedFleetMonitor)
+    for at, (shape, hour, payload) in enumerate(stream):
+        if sharded and at == kill_at:
+            monitor.kill_shard(1)
+        if shape == 0:
+            for serial, values in payload:
+                monitor.observe(serial, hour, values)
+        elif shape == 1:
+            roster, matrix = payload
+            monitor.observe_tick(hour, matrix, serials=roster)
+        elif shape in (2, 3):
+            roster, matrix = payload
+            monitor.register_fleet(roster)
+            monitor.observe_tick(hour, matrix)
+        elif shape == 4:
+            roster, feed = payload
+            monitor.register_fleet(roster)
+            if sharded:
+                monitor.pin_feed(feed)
+                monitor.observe_tick(hour)
+            else:
+                monitor.observe_tick(hour, feed)
+        else:
+            monitor.observe_fleet(hour, payload)
+    monitor.finalize()
+
+
+class TestMixedIngressRecoveryParity:
+    """Every ingress shape, journaled and replayed, matches one monitor."""
+
+    @pytest.mark.parametrize("snapshot_every", [0, 7])
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_mixed_ingress_kill_and_replay(self, tmp_path, mode, snapshot_every):
+        stream = _mixed_ingress_stream()
+        golden = _run_instrumented(
+            lambda: _build_single(), lambda monitor: _drive_mixed(monitor, stream)
+        )
+        assert golden["alerts"] and golden["faults"]
+
+        def drive(monitor):
+            assert monitor.mode == mode
+            _drive_mixed(monitor, stream, kill_at=len(stream) // 2 + 1)
+            assert monitor.recoveries == 1
+
+        state = _run_instrumented(
+            lambda: _build_supervised(
+                3, tmp_path / "run", mode=mode, snapshot_every=snapshot_every
+            ),
+            drive,
+        )
+        assert_states_equal(golden, state)
+
+
+class TestJournalContract:
+    """Every ingress shape is one normalized tick, journaled once."""
+
+    def test_every_ingress_shape_appends_exactly_one_tick_entry(self, tmp_path):
+        monitor = _build_supervised(2, tmp_path / "run", snapshot_every=0)
+        journal = monitor.journal
+        appended = []
+        append = journal.append_tick_matrix
+
+        def recording_append(*args, **kwargs):
+            appended.append(args[0])
+            return append(*args, **kwargs)
+
+        # Wrapped on the instance, the way the benchmark harness times it.
+        journal.append_tick_matrix = recording_append
+        ones = np.ones(N_CHANNELS)
+        ingresses = {
+            "observe": lambda: monitor.observe("a", 0.0, np.ones(3)),
+            "explicit serials": lambda: monitor.observe_tick(
+                1.0, np.ones((2, N_CHANNELS)), serials=["c", "c"]
+            ),
+            "fleet": lambda: monitor.observe_fleet(
+                2.0, [("a", ones), ("b", np.ones(5)), ("a", ones)]
+            ),
+            "duplicate roster": lambda: (
+                monitor.register_fleet(["a", "b", "a"]),
+                monitor.observe_tick(3.0, np.ones((3, N_CHANNELS))),
+            ),
+            "roster": lambda: (
+                monitor.register_fleet(["a", "b", "c"]),
+                monitor.observe_tick(4.0, np.ones((3, N_CHANNELS))),
+            ),
+            "pinned": lambda: (
+                monitor.pin_feed(np.ones((3, N_CHANNELS))),
+                monitor.observe_tick(5.0),
+            ),
+        }
+        try:
+            for name, ingress in ingresses.items():
+                before = len(appended)
+                ingress()
+                assert len(appended) == before + 1, name
+        finally:
+            monitor.close()
+
+        lines = [json.loads(raw) for raw in journal.path.read_text().splitlines()]
+        assert lines[0] == {"schema": TICK_JOURNAL_SCHEMA}
+        assert all("blob" not in line and "mode" not in line for line in lines)
+        for line in lines:
+            if "sidecar" in line:
+                np.load(journal.sidecar_dir / line["sidecar"], allow_pickle=False)
+
+        entries = [e for e in journal.entries() if e["kind"] == "tick"]
+        assert len(entries) == len(ingresses) == journal.tick_count
+        for tick, entry in zip(appended, entries):
+            assert entry["hour"] == tick.hour
+            if tick.roster is None:
+                assert entry["roster_id"] >= 1 and "roster" not in entry
+            else:
+                assert entry["roster"] == list(tick.roster)
+            assert entry.get("duplicates", []) == list(tick.duplicates)
+            assert entry.get("bad_shape", {}) == dict(tick.bad_shape)
+            assert entry.get("single", False) is tick.single
+            if tick.matrix is None:
+                assert entry["pinned"] is True and "matrix" not in entry
+            else:
+                assert np.array_equal(entry["matrix"], tick.matrix, equal_nan=True)
+        observe, serials, fleet, dup_roster, roster, pinned = entries
+        assert observe["single"] is True and observe["bad_shape"] == {0: (3,)}
+        assert serials["roster"] == ["c"] and serials["duplicates"] == ["c"]
+        assert fleet["duplicates"] == ["a"] and fleet["bad_shape"] == {1: (5,)}
+        assert dup_roster["duplicates"] == ["a"]
+        assert dup_roster["matrix"].shape == (2, N_CHANNELS)
+        assert "duplicates" not in roster and roster["matrix"].shape == (3, N_CHANNELS)
+        assert pinned["pinned"] is True
+
+
+class TestIngressValidation:
+    """Bad input is rejected before the write-ahead journal or any shard."""
+
+    def test_non_numeric_record_never_poisons_the_journal(self, tmp_path):
+        monitor = _build_supervised(2, tmp_path / "run", snapshot_every=0)
+        good = np.ones(N_CHANNELS)
+        try:
+            with pytest.raises(ValueError) as rejected:
+                monitor.observe_fleet(0.0, [("a", good), ("b", "abc")])
+            assert monitor.journal.tick_count == 0
+            assert monitor.watched_drives() == []
+            assert "drive 'b'" in str(rejected.value)
+            # Recovery replays the journal; it must hold nothing unreplayable.
+            monitor.kill_shard(shard_for("b", 2))
+            monitor.observe_fleet(1.0, [("a", good), ("b", good)])
+            monitor.observe_fleet(2.0, [("a", good), ("b", good)])
+            assert monitor.recoveries == 1
+            assert monitor.watched_drives() == ["a", "b"]
+        finally:
+            monitor.close()
+
+    def test_single_monitor_converts_before_allocating_rows(self):
+        monitor = _build_single()
+        with pytest.raises(ValueError) as rejected:
+            monitor.observe_fleet(0.0, [("a", np.ones(N_CHANNELS)), ("b", "abc")])
+        assert monitor.watched_drives() == []
+        assert monitor.faults == []
+        assert "drive 'b'" in str(rejected.value)
+
+    def test_rejected_pin_feed_journals_nothing(self, tmp_path):
+        monitor = _build_supervised(2, tmp_path / "run", snapshot_every=0)
+        try:
+            monitor.register_fleet(["a", "b", "a"])
+            with pytest.raises(ValueError, match="duplicate-free"):
+                monitor.pin_feed(np.ones((3, N_CHANNELS)))
+            assert [e["kind"] for e in monitor.journal.entries()] == ["register"]
+            monitor.checkpoint()
+            assert [e["kind"] for e in monitor.journal.entries()] == ["register"]
+        finally:
+            monitor.close()
 
 
 class TestRestartBudget:
