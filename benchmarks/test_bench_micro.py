@@ -449,7 +449,7 @@ def test_micro_event_emission_overhead(benchmark, score_bench_results):
 
 
 def _make_monitor(engine, n_drives):
-    from repro.detection import FleetMonitor, OnlineMajorityVote
+    from repro.detection import FleetMonitor, VoterSpec
     from repro.features.vectorize import Feature
 
     features = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0),
@@ -457,9 +457,8 @@ def _make_monitor(engine, n_drives):
     monitor_class = ObjectFleetMonitor if engine == "object" else FleetMonitor
     monitor = monitor_class(
         features,
-        score_sample=lambda row: -1.0 if np.nansum(row) < 0.0 else 1.0,
-        score_batch=lambda X: np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0),
-        detector_factory=lambda: OnlineMajorityVote(5),
+        lambda X: np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0),
+        VoterSpec("majority", 5),
     )
     monitor.register_fleet(tuple(f"drive-{i:06d}" for i in range(n_drives)))
     return monitor
@@ -556,11 +555,7 @@ def test_micro_streaming_100k_drive_tick_rate(stream_bench_results):
 # at least 4 usable cores; below that the numbers are still recorded
 # so the bench history tracks every machine honestly.
 
-def _shard_bench_score_sample(row):
-    return -1.0 if np.nansum(row) < 0.0 else 1.0
-
-
-def _shard_bench_score_batch(X):
+def _shard_bench_score(X):
     return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
 
 
@@ -590,9 +585,8 @@ def test_micro_sharded_million_drive_scaling(shard_bench_results):
 
     single = FleetMonitor(
         _shard_bench_features(),
-        score_sample=_shard_bench_score_sample,
-        score_batch=_shard_bench_score_batch,
-        detector_factory=VoterSpec("majority", 3),
+        _shard_bench_score,
+        VoterSpec("majority", 3),
     )
     single.register_fleet(serials)
     single.observe_tick(0.0, matrix)  # warm-up: row allocation, buffers
@@ -604,9 +598,8 @@ def test_micro_sharded_million_drive_scaling(shard_bench_results):
 
     with ShardedFleetMonitor(
         _shard_bench_features(),
-        _shard_bench_score_sample,
+        _shard_bench_score,
         VoterSpec("majority", 3),
-        score_batch=_shard_bench_score_batch,
         n_shards=n_shards,
         mode="process",
     ) as sharded:
@@ -704,9 +697,8 @@ def test_micro_supervised_journal_overhead(shard_bench_results, tmp_path):
     def build_supervised(run_dir, journal_fsync):
         return SupervisedShardedMonitor(
             _journal_bench_features(),
-            _shard_bench_score_sample,
+            _shard_bench_score,
             VoterSpec("majority", 3),
-            score_batch=_shard_bench_score_batch,
             n_shards=n_shards,
             run_dir=run_dir,
             snapshot_every=100 * n_ticks,  # never fires: journal cost only
@@ -715,9 +707,8 @@ def test_micro_supervised_journal_overhead(shard_bench_results, tmp_path):
 
     baseline = ShardedFleetMonitor(
         _journal_bench_features(),
-        _shard_bench_score_sample,
+        _shard_bench_score,
         VoterSpec("majority", 3),
-        score_batch=_shard_bench_score_batch,
         n_shards=n_shards,
     )
     baseline_tps, baseline_alerts = drive(baseline)

@@ -32,7 +32,7 @@ import numpy as np
 
 from repro.core.config import CTConfig, resolve_features
 from repro.core.sampling import build_training_set
-from repro.detection.streaming import FleetMonitor, OnlineMajorityVote
+from repro.detection import FleetMonitor, VoterSpec
 from repro.explain import (
     crossfit_models,
     explain_report_from_logs,
@@ -81,8 +81,8 @@ def main() -> None:
     enable_events(log_path)
     monitor = FleetMonitor(
         extractor.features,
-        score_sample=lambda row: float(tree.predict(row.reshape(1, -1))[0]),
-        detector_factory=lambda: OnlineMajorityVote(3),
+        tree.predict,
+        VoterSpec("majority", 3),
         tree=tree,  # attach provenance: alerts carry their decision path
     )
     failure_hours = {d.serial: d.failure_hour for d in split.test_failed}

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro import CTConfig, DriveFailurePredictor, SmartDataset, default_fleet_config
 from repro import observability as obs
-from repro.detection.streaming import FleetMonitor, OnlineMajorityVote
+from repro.detection import FleetMonitor, VoterSpec
 
 
 def main() -> None:
@@ -43,8 +43,8 @@ def main() -> None:
 
     monitor = FleetMonitor(                         # -> serve.* metrics
         predictor.extractor.features,
-        score_sample=lambda row: float(predictor.tree_.predict(row.reshape(1, -1))[0]),
-        detector_factory=lambda: OnlineMajorityVote(3),
+        predictor.tree_.predict,                    # one batch scorer
+        VoterSpec("majority", 3),
     )
     drive = split.test_good[0]
     for hour, values in zip(drive.hours[:24], drive.values[:24]):

@@ -16,8 +16,9 @@ This package owns that layer end to end:
 * :mod:`~repro.detection.cost` — pricing an operating point
   (alarm/miss/data-loss costs) to choose voters or thresholds;
 * :mod:`~repro.detection.streaming` — the online
-  :class:`FleetMonitor` with fault gating and quarantine (the
-  deployment surface);
+  :class:`FleetMonitor`, one batch scorer judged by one
+  :class:`VoterSpec`, with fault gating and quarantine (the deployment
+  surface);
 * :mod:`~repro.detection.columnar` — the structure-of-arrays engine
   every :class:`FleetMonitor` serves through: whole-tick ingest, mask
   gating, ring-buffer voting matrices, one batched model call (its
@@ -73,9 +74,6 @@ from repro.detection.sharded import (
     CanaryPolicy,
     ShardedFleetMonitor,
     ShardSpec,
-    TreeBatchScorer,
-    TreeSampleScorer,
-    VoterSpec,
     shard_for,
 )
 from repro.detection.supervision import (
@@ -88,10 +86,8 @@ from repro.detection.streaming import (
     Alert,
     DriveStatus,
     FleetMonitor,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
-    WindowedVoter,
+    VoterSpec,
 )
 from repro.detection.voting import MajorityVoteDetector, MeanThresholdDetector
 
@@ -113,16 +109,11 @@ __all__ = [
     "DriveStatus",
     "FleetMonitor",
     "QuarantinePolicy",
-    "OnlineMajorityVote",
-    "OnlineMeanThreshold",
-    "WindowedVoter",
+    "VoterSpec",
     "SHARD_MODES",
     "CanaryPolicy",
     "ShardSpec",
     "ShardedFleetMonitor",
-    "TreeBatchScorer",
-    "TreeSampleScorer",
-    "VoterSpec",
     "shard_for",
     "TICK_JOURNAL_SCHEMA",
     "RestartPolicy",

@@ -18,7 +18,7 @@ passes instead of ``n_drives`` python round-trips:
   matrices whose storage order *is* window order, so provenance
   snapshots read straight out of a row;
 * **scoring** stacks the tick's usable feature rows and makes a single
-  ``score_batch`` call (one compiled-tree routing pass for the fleet).
+  ``score`` call (one compiled-tree routing pass for the fleet).
 
 The reference is the per-drive object engine this module replaced: one
 python object, feature buffer and voter per drive, kept as the test
@@ -47,8 +47,8 @@ from repro.detection.streaming import (
     Alert,
     DriveStatus,
     NormalizedTick,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
+    VoterSpec,
+    _check_voter,
     _duplicate_serial_fault,
     _json_score,
     _normalize_tick,
@@ -140,7 +140,7 @@ class _LagHistory:
 
 
 class MajorityVoteMatrix:
-    """Matrix-wide :class:`~repro.detection.streaming.OnlineMajorityVote`.
+    """The ``"majority"`` :class:`~repro.detection.streaming.VoterSpec` rule, matrix-wide.
 
     One int8 shift-left window per row: ``-1`` marks an unfilled slot,
     ``0``/``1`` a vote, and storage order is window order (oldest
@@ -183,17 +183,17 @@ class MajorityVoteMatrix:
 
 
 class MeanThresholdMatrix:
-    """Matrix-wide :class:`~repro.detection.streaming.OnlineMeanThreshold`.
+    """The ``"mean"`` :class:`~repro.detection.streaming.VoterSpec` rule, matrix-wide.
 
     Float64 shift-left windows with NaN both as the unfilled-slot marker
     and as the unscorable-sample gap (the first ``length`` check keeps
     the two apart).  The alarm decision masks NaN to ``0.0`` and divides
-    by the finite count — the same mean the object voter takes over its
+    by the finite count — the same mean a per-drive voter takes over its
     compacted window, except that numpy's pairwise summation may
     associate the additions differently; rows whose mean lands within
     the reassociation error bound of the threshold are re-judged with
-    the exact per-row rule so the decision is bit-for-bit the object
-    voter's.
+    the exact per-row rule so the decision is bit-for-bit the per-drive
+    voter's (the test oracle ``tests/oracles/object_monitor.py``).
     """
 
     def __init__(self, n_voters: int, threshold: float, n_rows: int):
@@ -251,17 +251,11 @@ class MeanThresholdMatrix:
         return [float(v) if np.isfinite(v) else None for v in window]
 
 
-def window_matrix_for(detector: object, n_rows: int = 0):
-    """The matrix voter replicating one built-in windowed detector."""
-    if type(detector) is OnlineMajorityVote:
-        return MajorityVoteMatrix(detector.n_voters, detector.failed_label, n_rows)
-    if type(detector) is OnlineMeanThreshold:
-        return MeanThresholdMatrix(detector.n_voters, detector.threshold, n_rows)
-    raise ValueError(
-        f"detector_factory built a {type(detector).__name__}; FleetMonitor "
-        "serves only the built-in windowed voters OnlineMajorityVote and "
-        "OnlineMeanThreshold"
-    )
+def window_matrix_for(voter: VoterSpec, n_rows: int = 0):
+    """The matrix voter serving ``voter``'s rule over ``n_rows`` drives."""
+    if _check_voter(voter).kind == "majority":
+        return MajorityVoteMatrix(voter.n_voters, voter.failed_label, n_rows)
+    return MeanThresholdMatrix(voter.n_voters, voter.threshold, n_rows)
 
 
 class ColumnarEngine:
@@ -294,8 +288,8 @@ class ColumnarEngine:
         self._lag_col = {channel: at for at, channel in enumerate(lag_channels)}
         self._intervals = sorted({interval for _, _, interval in self._rate_cols})
         max_lag = max((interval for _, _, interval in self._rate_cols), default=0.0)
-        # Fail fast on detectors the matrix voters cannot replicate.
-        self._voter = window_matrix_for(monitor.detector_factory())
+        # Fails fast on anything but a VoterSpec.
+        self._voter = window_matrix_for(monitor.voter)
         self._history = (
             _LagHistory(0, lag_channels, max_lag) if self._rate_cols else None
         )
@@ -370,21 +364,16 @@ class ColumnarEngine:
         hour: float,
         items: list[tuple],
         duplicates: list[str],
-        *,
-        single: bool = False,
     ) -> list[Alert]:
         """One collection tick from normalized ``(serial, values)`` pairs.
 
         The pairs become one matrix first (:func:`_stack_items`), so a
         non-numeric record raises before any row is allocated or fault
         recorded; the tick is then served by :meth:`run`.
-        ``single=True`` marks a batch-of-one coming from
-        ``FleetMonitor.observe`` — scored through ``score_sample``, the
-        single-record scorer.
         """
         roster, matrix, bad_shape = _stack_items(items)
         return self.run(
-            NormalizedTick(hour, roster, matrix, tuple(duplicates), bad_shape, single)
+            NormalizedTick(hour, roster, matrix, tuple(duplicates), bad_shape)
         )
 
     def tick_matrix(
@@ -441,9 +430,7 @@ class ColumnarEngine:
             )
             if roster is registered:
                 self._roster_cache = (roster, rows)
-        return self._process(
-            hour, roster, rows, tick.matrix, tick.bad_shape, n_before, tick.single
-        )
+        return self._process(hour, roster, rows, tick.matrix, tick.bad_shape, n_before)
 
     # -- the vectorized hot path ----------------------------------------------
 
@@ -455,7 +442,6 @@ class ColumnarEngine:
         values: np.ndarray,
         bad_shape: dict[int, tuple],
         n_before: int,
-        single: bool,
     ) -> list[Alert]:
         monitor = self.monitor
         registry = get_registry()
@@ -528,16 +514,13 @@ class ColumnarEngine:
         scores = np.full(k, np.nan)
         n_usable = int(np.count_nonzero(usable))
         if n_usable:
-            stacked = feature_rows[usable]
-            if single or monitor.score_batch is None:
-                scores[usable] = [
-                    float(monitor.score_sample(stacked[at]))
-                    for at in range(n_usable)
-                ]
-            else:
-                scores[usable] = np.asarray(
-                    monitor.score_batch(stacked), dtype=float
+            batch = np.asarray(monitor.score(feature_rows[usable]), dtype=float)
+            if batch.shape != (n_usable,):
+                raise ValueError(
+                    f"score must map a ({n_usable}, {self._n_features}) "
+                    f"matrix to {n_usable} scores, got shape {batch.shape}"
                 )
+            scores[usable] = batch
             registry.counter("serve.scored", help=SCORED_HELP).inc(n_usable)
 
         # Fleet-wide voting and alert latching.

@@ -15,9 +15,9 @@ per-shard results back into one coordinator-level truth:
   validated and converted at the coordinator into one
   :class:`~repro.detection.streaming.NormalizedTick`: a duplicate-free
   roster (or the registered one), an aligned channel matrix (or the
-  pinned feed), the duplicate serials, the wrong-shape records and the
-  single-record flag.  One dispatch path slices it into one shard
-  payload shape; the supervised journal records it as one entry kind.
+  pinned feed), the duplicate serials and the wrong-shape records.  One
+  dispatch path slices it into one shard payload shape; the supervised
+  journal records it as one entry kind.
 * **Alerts** come home per shard with shard-local ids, are re-ordered
   into the tick's roster order and re-assigned dense coordinator ids,
   so ``alerts``/``alert_id`` are bit-identical to a single columnar
@@ -82,10 +82,10 @@ from repro.detection.streaming import (
     DriveStatus,
     FleetMonitor,
     NormalizedTick,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
+    VoterSpec,
     _aligned_matrix,
+    _check_voter,
     _normalize_tick,
     _stack_items,
     _tick_instrumentation,
@@ -142,59 +142,6 @@ def shard_for(serial: str, n_shards: int) -> int:
 
 
 @dataclass(frozen=True)
-class VoterSpec:
-    """A picklable detector factory for the built-in windowed voters.
-
-    ``detector_factory`` is usually a lambda, which cannot cross a
-    process boundary; a ``VoterSpec`` carries the same information as
-    data.  Calling the spec builds a fresh detector, so it drops in
-    anywhere a factory is expected (including plain ``FleetMonitor``).
-    """
-
-    kind: str  # "majority" | "mean"
-    n_voters: int
-    failed_label: float = -1.0
-    threshold: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("majority", "mean"):
-            raise ValueError(
-                f"kind must be 'majority' or 'mean', got {self.kind!r}"
-            )
-
-    def __call__(self):
-        if self.kind == "majority":
-            return OnlineMajorityVote(self.n_voters, failed_label=self.failed_label)
-        return OnlineMeanThreshold(self.n_voters, threshold=self.threshold)
-
-
-@dataclass(frozen=True)
-class TreeSampleScorer:
-    """Picklable ``row -> float`` scorer over a fitted tree.
-
-    :meth:`~repro.tree.base.BaseDecisionTree.sample_scorer` returns a
-    closure, which cannot ship to a shard worker; this wrapper scores
-    identically and pickles whenever the tree does.
-    """
-
-    tree: object
-
-    def __call__(self, row: np.ndarray) -> float:
-        matrix = np.asarray(row, dtype=float).reshape(1, -1)
-        return float(self.tree.predict(matrix)[0])
-
-
-@dataclass(frozen=True)
-class TreeBatchScorer:
-    """Picklable batch scorer over a fitted tree (see :class:`TreeSampleScorer`)."""
-
-    tree: object
-
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        return np.asarray(self.tree.predict(np.asarray(X, dtype=float)), dtype=float)
-
-
-@dataclass(frozen=True)
 class CanaryPolicy:
     """When does a canary generation win the fleet?
 
@@ -223,15 +170,13 @@ class ShardSpec:
 
     The coordinator ships this (not a built monitor) to worker
     processes; ``mode="process"`` therefore needs every field to be
-    picklable — use :class:`VoterSpec` and
-    :class:`TreeSampleScorer`/:class:`TreeBatchScorer` instead of
-    lambdas and closures.
+    picklable — score with a module-level function or a fitted tree's
+    bound ``predict``, not a lambda or closure.
     """
 
     features: tuple
-    score_sample: Callable
-    detector_factory: Callable
-    score_batch: Optional[Callable] = None
+    score: Callable
+    voter: VoterSpec
     quarantine: Optional[QuarantinePolicy] = None
     tree: Optional[object] = None
     feature_names: Optional[tuple] = None
@@ -241,9 +186,8 @@ class ShardSpec:
         """A fresh shard monitor (SLO state stays coordinator-side)."""
         return FleetMonitor(
             self.features,
-            score_sample=self.score_sample,
-            detector_factory=self.detector_factory,
-            score_batch=self.score_batch,
+            self.score,
+            self.voter,
             quarantine=self.quarantine,
             tree=self.tree,
             feature_names=self.feature_names,
@@ -339,9 +283,8 @@ def _shard_payload(tick: NormalizedTick, layout: _RosterLayout, sid: int) -> dic
     Always ``hour`` and ``shard``; the rest only when present —
     ``roster`` (ad-hoc ticks; registered ticks use the sub-roster
     pinned shard-side), ``matrix`` (absent for the pinned feed), and
-    the shard's ``duplicates``, ``bad_shape`` (re-indexed into the
-    slice) and ``single``.  Live dispatch and journal replay both slice
-    through here.
+    the shard's ``duplicates`` and ``bad_shape`` (re-indexed into the
+    slice).  Live dispatch and journal replay both slice through here.
     """
     n_shards = len(layout.buckets)
     ix = layout.buckets[sid]
@@ -360,9 +303,16 @@ def _shard_payload(tick: NormalizedTick, layout: _RosterLayout, sid: int) -> dic
     }
     if bad_shape:
         payload["bad_shape"] = bad_shape
-    if tick.single:
-        payload["single"] = True
     return payload
+
+
+def _model(score: Callable, tree: Optional[object], feature_names) -> dict:
+    """One serving model as the coordinator ships it to shards."""
+    return {
+        "score": score,
+        "tree": tree,
+        "feature_names": tuple(feature_names) if feature_names is not None else None,
+    }
 
 
 # -- shard-side entry points ---------------------------------------------------
@@ -390,7 +340,6 @@ def _shard_tick(state: dict, payload: dict) -> dict:
         matrix,
         payload.get("duplicates", ()),
         payload.get("bad_shape", {}),
-        payload.get("single", False),
     )
     registry = get_registry()
     n_faults = len(monitor.faults)
@@ -445,8 +394,7 @@ def _shard_apply_model(state: dict, payload: dict) -> int:
     emitted exactly once at the coordinator, never per shard.
     """
     monitor: FleetMonitor = state["monitor"]
-    monitor.score_sample = payload["score_sample"]
-    monitor.score_batch = payload["score_batch"]
+    monitor.score = payload["score"]
     monitor.tree = payload["tree"]
     if payload.get("feature_names") is not None:
         monitor.feature_names = tuple(payload["feature_names"])
@@ -463,12 +411,11 @@ class ShardedFleetMonitor:
     """N columnar shard monitors behind one ``FleetMonitor``-shaped facade.
 
     Args:
-        features, score_sample, detector_factory, score_batch, tree,
-        feature_names, model_generation: As
-            :class:`~repro.detection.streaming.FleetMonitor`.  For
+        features, score, voter, tree, feature_names, model_generation:
+            As :class:`~repro.detection.streaming.FleetMonitor`.  For
             ``mode="process"`` these must be picklable (see
-            :class:`VoterSpec`, :class:`TreeSampleScorer`,
-            :class:`TreeBatchScorer`).
+            :class:`ShardSpec`); a non-:class:`VoterSpec` voter raises
+            ``ValueError`` before any shard is built.
         quarantine: The degraded-mode policy; required (strict mode is
             single-process only, see the module docs).
         slo: Optional coordinator-side
@@ -487,14 +434,14 @@ class ShardedFleetMonitor:
             instead of failing.
 
     Example:
+        >>> import numpy as np
         >>> from repro.features.vectorize import Feature
         >>> monitor = ShardedFleetMonitor(
         ...     (Feature("POH"), Feature("TC")),
-        ...     score_sample=lambda row: 1.0,
-        ...     detector_factory=VoterSpec("majority", 3),
+        ...     lambda X: np.ones(len(X)),
+        ...     VoterSpec("majority", 3),
         ...     n_shards=2,
         ... )
-        >>> import numpy as np
         >>> monitor.observe_fleet(0.0, [("d1", np.ones(12))])
         []
     """
@@ -504,10 +451,9 @@ class ShardedFleetMonitor:
     def __init__(
         self,
         features: Sequence[Feature],
-        score_sample: Callable,
-        detector_factory: Callable[[], object],
+        score: Callable[[np.ndarray], np.ndarray],
+        voter: VoterSpec,
         *,
-        score_batch: Optional[Callable] = None,
         quarantine: Optional[QuarantinePolicy] = _DEFAULT_QUARANTINE,
         tree: Optional[object] = None,
         feature_names: Optional[Sequence[str]] = None,
@@ -526,9 +472,8 @@ class ShardedFleetMonitor:
             raise ValueError(f"mode must be one of {SHARD_MODES}, got {mode!r}")
         self._spec = ShardSpec(
             features=tuple(features),
-            score_sample=score_sample,
-            detector_factory=detector_factory,
-            score_batch=score_batch,
+            score=score,
+            voter=_check_voter(voter),
             quarantine=quarantine,
             tree=tree,
             feature_names=tuple(feature_names) if feature_names is not None else None,
@@ -546,12 +491,7 @@ class ShardedFleetMonitor:
         self._last_hour: Optional[float] = None
         self._deployment: Optional[_Deployment] = None
         self.last_verdict: Optional[dict] = None
-        self._current_model = {
-            "score_sample": score_sample,
-            "score_batch": score_batch,
-            "tree": tree,
-            "feature_names": self._spec.feature_names,
-        }
+        self._current_model = _model(score, tree, feature_names)
         self._roster: Optional[tuple[str, ...]] = None
         self._layout: Optional[_RosterLayout] = None
         self._feed_pinned = False
@@ -582,26 +522,21 @@ class ShardedFleetMonitor:
     def from_predictor(
         cls,
         predictor,
-        detector_factory: Callable[[], object],
+        voter: VoterSpec,
         **kwargs,
     ) -> "ShardedFleetMonitor":
-        """Shard-serve a fitted pipeline's tree (picklable scorers built in).
+        """Shard-serve a fitted pipeline's tree.
 
-        The process-mode counterpart of
-        :meth:`FleetMonitor.from_predictor`: scoring goes through
-        :class:`TreeSampleScorer`/:class:`TreeBatchScorer`, which ship
+        The sharded counterpart of :meth:`FleetMonitor.from_predictor`:
+        scoring goes through the tree's bound ``predict``, which ships
         to shard workers whenever the tree itself pickles.
         """
         tree = predictor.tree_
         if tree is None:
             raise RuntimeError("predictor is not fitted; call fit() first")
         return cls(
-            predictor.extractor.features,
-            score_sample=TreeSampleScorer(tree),
-            detector_factory=detector_factory,
-            score_batch=TreeBatchScorer(tree),
-            tree=tree,
-            **kwargs,
+            predictor.extractor.features, tree.predict, voter,
+            tree=tree, **kwargs,
         )
 
     # -- lifecycle -------------------------------------------------------------
@@ -770,7 +705,7 @@ class ShardedFleetMonitor:
         """Ingest one record via its owning shard (see ``FleetMonitor.observe``)."""
         roster, matrix, bad_shape = _stack_items([(serial, channel_values)])
         alerts = self._dispatch_tick(
-            NormalizedTick(hour, roster, matrix, (), bad_shape, single=True)
+            NormalizedTick(hour, roster, matrix, (), bad_shape), collection=False
         )
         return alerts[0] if alerts else None
 
@@ -881,14 +816,17 @@ class ShardedFleetMonitor:
             NormalizedTick(hour, None, matrix, layout.duplicates)
         )
 
-    def _dispatch_tick(self, tick: NormalizedTick) -> list[Alert]:
+    def _dispatch_tick(
+        self, tick: NormalizedTick, *, collection: bool = True
+    ) -> list[Alert]:
         """Fan one normalized tick out to its shards and merge the results.
 
         Every ingress ends here.  ``serve.fleet_ticks``, the
         ``serve.tick`` span and ``serve.tick_seconds`` are emitted once
-        per logical tick — never per shard, and not for single-record
-        :meth:`observe` calls — so the merged registry equals a single
-        monitor's.
+        per logical tick — never per shard — so the merged registry
+        equals a single monitor's.  A single-record :meth:`observe`
+        (``collection=False``) is not a collection tick: it gets no tick
+        instrumentation and does not count toward a canary soak.
         """
         if tick.roster is None:
             layout = self._layout
@@ -906,12 +844,14 @@ class ShardedFleetMonitor:
             if len(layout.buckets[sid])
         ]
         instruments = (
-            nullcontext() if tick.single else _tick_instrumentation(len(layout.roster))
+            _tick_instrumentation(len(layout.roster)) if collection else nullcontext()
         )
         with instruments:
-            alerts = self._merge_tick(self._raw_dispatch(calls), tick, layout)
+            alerts = self._merge_tick(
+                self._raw_dispatch(calls), tick, layout, collection
+            )
         self._last_hour = float(tick.hour) if np.isfinite(tick.hour) else self._last_hour
-        if not tick.single:
+        if collection:
             self._maybe_resolve_deployment()
         return alerts
 
@@ -958,6 +898,7 @@ class ShardedFleetMonitor:
         responses: list[tuple[int, object]],
         tick: NormalizedTick,
         layout: _RosterLayout,
+        collection: bool,
     ) -> list[Alert]:
         # Alerts in roster order; faults: every shard reports its
         # duplicate-serial faults first, then record faults in
@@ -983,7 +924,7 @@ class ShardedFleetMonitor:
 
         # Canary soak accounting (collection ticks only).
         deployment = self._deployment
-        if deployment is not None and not tick.single:
+        if deployment is not None and collection:
             for sid, _ in responses:
                 if sid in deployment.canaries:
                     deployment.canary_drives += len(layout.buckets[sid])
@@ -1010,9 +951,8 @@ class ShardedFleetMonitor:
 
     def set_model(
         self,
-        score_sample: Callable,
+        score: Callable[[np.ndarray], np.ndarray],
         *,
-        score_batch: Optional[Callable] = None,
         tree: Optional[object] = None,
         feature_names: Optional[Sequence[str]] = None,
     ) -> int:
@@ -1026,12 +966,7 @@ class ShardedFleetMonitor:
                 "a canary deployment is in flight; let it resolve (or "
                 "restore from a snapshot) before swapping models directly"
             )
-        model = {
-            "score_sample": score_sample,
-            "score_batch": score_batch,
-            "tree": tree,
-            "feature_names": tuple(feature_names) if feature_names is not None else None,
-        }
+        model = _model(score, tree, feature_names)
         generation = self.model_generation + 1
         self._apply_model(range(self.n_shards), model, generation)
         previous = self.model_generation
@@ -1058,11 +993,10 @@ class ShardedFleetMonitor:
 
     def begin_deployment(
         self,
-        score_sample: Callable,
+        score: Callable[[np.ndarray], np.ndarray],
         *,
         canary_shards: Sequence[int] = (0,),
         policy: CanaryPolicy = CanaryPolicy(),
-        score_batch: Optional[Callable] = None,
         tree: Optional[object] = None,
         feature_names: Optional[Sequence[str]] = None,
     ) -> int:
@@ -1091,12 +1025,7 @@ class ShardedFleetMonitor:
                 "canary_shards covers every shard; a deployment needs a "
                 "control group to compare against"
             )
-        new_model = {
-            "score_sample": score_sample,
-            "score_batch": score_batch,
-            "tree": tree,
-            "feature_names": tuple(feature_names) if feature_names is not None else None,
-        }
+        new_model = _model(score, tree, feature_names)
         generation = self.model_generation + 1
         self._apply_model(canaries, new_model, generation)
         self._deployment = _Deployment(
@@ -1324,9 +1253,8 @@ class ShardedFleetMonitor:
         spec: ShardSpec = coord["spec"]
         self = cls(
             spec.features,
-            spec.score_sample,
-            spec.detector_factory,
-            score_batch=spec.score_batch,
+            spec.score,
+            spec.voter,
             quarantine=spec.quarantine,
             tree=spec.tree,
             feature_names=spec.feature_names,

@@ -5,11 +5,11 @@ drive reports a SMART record, the model scores it, and the voting rule
 decides whether to raise a warning.  This module provides that streaming
 surface with *exactly* the offline semantics:
 
-* :class:`OnlineMajorityVote` / :class:`OnlineMeanThreshold` — O(1)
-  sliding-window reimplementations of the offline detectors; they name
-  the voting rule a monitor serves and pin its semantics;
-* :class:`FleetMonitor` — routes collection ticks through a fitted
-  model and collects :class:`Alert` events.
+* :class:`VoterSpec` — the voting rule a monitor serves (the paper's
+  N-voter majority for the CT, the mean threshold for the RT);
+* :class:`FleetMonitor` — routes collection ticks through one batch
+  scorer (``score``: a ``(k, n_features)`` matrix in, ``k`` scores out)
+  and collects :class:`Alert` events.
 
 Equivalence with the offline path (score_drives + first_alarm) is
 guaranteed by construction and enforced by the test suite.
@@ -33,9 +33,10 @@ resetting its window.
 state in the structure-of-arrays core of
 :mod:`repro.detection.columnar`: one 2-D ``(n_drives, n_channels)``
 ingest per tick, mask-based validation, ring-buffer voting matrices and
-a single batched model call.  The per-drive object engine it replaced
-(one python object, feature buffer and voter per drive) survives only
-as a test oracle, ``tests/oracles/object_monitor.py``; the golden parity
+one ``score`` call per tick (a single :meth:`FleetMonitor.observe` is a
+batch of one).  The per-drive object engine it replaced (one python
+object, feature buffer and windowed voter per drive) survives only as a
+test oracle, ``tests/oracles/object_monitor.py``; the golden parity
 suite pins the two bit for bit — same alerts, same ``health_report()``,
 same event stream, same quarantine decisions.
 """
@@ -43,7 +44,6 @@ same event stream, same quarantine decisions.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -59,12 +59,6 @@ from repro.utils.validation import check_positive
 
 #: Schema tag on :meth:`FleetMonitor.health_report` (bump on breaking change).
 HEALTH_REPORT_SCHEMA = "repro.health-report/v1"
-
-#: Scores one feature row; returns a class label or health degree.
-SampleScorer = Callable[[np.ndarray], float]
-
-#: Scores a stacked ``(n_rows, n_features)`` matrix in one call.
-BatchScorer = Callable[[np.ndarray], np.ndarray]
 
 # Counter help strings, shared verbatim with the object-engine test
 # oracle so registry snapshots (and health_report metrics) compare equal.
@@ -188,11 +182,9 @@ class NormalizedTick:
     last-write-wins) and ``matrix`` the aligned ``(n, N_CHANNELS)``
     readings.  ``duplicates`` lists the overridden occurrences in
     discovery order, ``bad_shape`` maps record index → shape for
-    records the gate faults as wrong-shape, and ``single`` marks a
-    one-record :meth:`FleetMonitor.observe` call (scored through
-    ``score_sample``).  ``roster=None`` means the roster fixed by
-    ``register_fleet``; at the sharded coordinator ``matrix=None``
-    means the pinned feed.
+    records the gate faults as wrong-shape.  ``roster=None`` means the
+    roster fixed by ``register_fleet``; at the sharded coordinator
+    ``matrix=None`` means the pinned feed.
     """
 
     hour: float
@@ -200,110 +192,45 @@ class NormalizedTick:
     matrix: Optional[np.ndarray]
     duplicates: tuple[str, ...] = ()
     bad_shape: Mapping[int, tuple] = field(default_factory=dict)
-    single: bool = False
 
 
-class WindowedVoter:
-    """Shared mechanics of the streaming (windowed) voting rules.
+@dataclass(frozen=True)
+class VoterSpec:
+    """The voting rule a monitor serves, as picklable data.
 
-    Owns the single semantics source every windowed rule pins against:
-    the bounded window itself, the full-window alarm gate (``push``
-    never alarms before ``n_voters`` samples arrived), the
-    short-history flush rule (a shorter-than-window history is judged
-    once, over all its samples, like the offline detectors), and the
-    provenance snapshot.  Subclasses define how one score is stored
-    (:meth:`_ingest`), how a window width is judged (:meth:`_judge`)
-    and how one slot renders into provenance (:meth:`_slot_payload`).
-    The columnar ring-buffer voters
-    (:mod:`repro.detection.columnar`) replicate exactly these
-    semantics, matrix-wide.
+    ``kind="majority"`` is the CT rule: a drive alarms when more than
+    half of its last ``n_voters`` scores equal ``failed_label`` (NaN
+    scores hold a window slot but never vote failed).  ``kind="mean"``
+    is the RT rule: a drive alarms when the mean of the finite scores
+    among its last ``n_voters`` falls below ``threshold``.  No drive
+    alarms before its window is full; at :meth:`FleetMonitor.finalize`
+    a shorter-than-window history is judged once over all its samples,
+    like the offline detectors in :mod:`repro.detection.voting`.
+
+    The spec is validated at construction, so a bad rule fails before
+    any monitor, shard or worker exists.
     """
 
-    def __init__(self, n_voters: int):
-        check_positive("n_voters", n_voters)
-        self.n_voters = int(n_voters)
-        self._window: deque = deque(maxlen=self.n_voters)
+    kind: str  # "majority" | "mean"
+    n_voters: int
+    failed_label: float = -1.0
+    threshold: float = 0.0
 
-    def push(self, score: float) -> bool:
-        """Ingest one per-sample score; True when this time point alarms."""
-        self._ingest(score)
-        if len(self._window) < self.n_voters:
-            return False
-        return self._judge(self.n_voters)
-
-    def flush_short_history(self) -> bool:
-        """Judge a drive whose whole history is shorter than the window.
-
-        Mirrors the offline rule that short series are judged once over
-        all their samples.  A filled window is never re-judged.
-        """
-        if not self._window or len(self._window) >= self.n_voters:
-            return False
-        return self._judge(len(self._window))
-
-    def window_contents(self) -> list:
-        """The current voting window, oldest first.
-
-        Alert provenance snapshots this at the moment the window
-        flipped, so ``repro-events explain`` can show exactly which
-        votes carried the decision.
-        """
-        return [self._slot_payload(slot) for slot in self._window]
-
-    # -- rule-specific hooks -------------------------------------------------
-
-    def _ingest(self, score: float) -> None:
-        raise NotImplementedError
-
-    def _judge(self, width: int) -> bool:
-        raise NotImplementedError
-
-    def _slot_payload(self, slot):
-        return slot
+    def __post_init__(self) -> None:
+        if self.kind not in ("majority", "mean"):
+            raise ValueError(
+                f"kind must be 'majority' or 'mean', got {self.kind!r}"
+            )
+        check_positive("n_voters", self.n_voters)
 
 
-class OnlineMajorityVote(WindowedVoter):
-    """Streaming equivalent of :class:`~repro.detection.voting.MajorityVoteDetector`.
-
-    ``push`` returns True the first time the trailing window holds a
-    strict failed majority.  NaN scores (missed/unusable samples) occupy
-    a window slot but never count as failed votes.
-    """
-
-    def __init__(self, n_voters: int = 1, failed_label: float = -1.0):
-        super().__init__(n_voters)
-        self.failed_label = failed_label
-        self._failed_in_window = 0
-
-    def _ingest(self, score: float) -> None:
-        if len(self._window) == self._window.maxlen and self._window[0]:
-            self._failed_in_window -= 1
-        vote = bool(np.isfinite(score) and score == self.failed_label)
-        self._window.append(vote)
-        if vote:
-            self._failed_in_window += 1
-
-    def _judge(self, width: int) -> bool:
-        return self._failed_in_window > width / 2.0
-
-
-class OnlineMeanThreshold(WindowedVoter):
-    """Streaming equivalent of :class:`~repro.detection.voting.MeanThresholdDetector`."""
-
-    def __init__(self, n_voters: int = 11, threshold: float = 0.0):
-        super().__init__(n_voters)
-        self.threshold = float(threshold)
-
-    def _ingest(self, score: float) -> None:
-        self._window.append(float(score))
-
-    def _judge(self, width: int) -> bool:
-        values = np.array(list(self._window)[-width:])
-        valid = values[np.isfinite(values)]
-        return valid.size > 0 and float(valid.mean()) < self.threshold
-
-    def _slot_payload(self, slot: float) -> Optional[float]:
-        return float(slot) if np.isfinite(slot) else None
+def _check_voter(voter: object) -> VoterSpec:
+    """``voter`` itself when it is a :class:`VoterSpec`; ``ValueError`` if not."""
+    if not isinstance(voter, VoterSpec):
+        raise ValueError(
+            f"voter must be a VoterSpec, got {type(voter).__name__}"
+        )
+    return voter
 
 
 @dataclass(frozen=True)
@@ -361,21 +288,13 @@ class FleetMonitor:
 
     Args:
         features: The feature definitions the model was trained on.
-        score_sample: Callable scoring one feature row (e.g. wrapping
-            ``predictor.tree_.predict``); rows with no finite feature are
+        score: The model: maps a stacked ``(k, n_features)`` matrix to
+            ``k`` scores (e.g. ``predictor.tree_.predict``).  Each tick
+            makes one call with the tick's usable rows — one compiled
+            routing pass for the fleet; rows with no finite feature are
             scored NaN without calling it.
-        detector_factory: Zero-argument callable building one of the
-            built-in windowed voters, :class:`OnlineMajorityVote` or
-            :class:`OnlineMeanThreshold` (e.g. a
-            :class:`~repro.detection.sharded.VoterSpec`).  It is called
-            once: the voter's rule and width configure the voting
-            matrix that holds every drive's window.  Any other detector
-            type raises ``ValueError``.
-        score_batch: Optional callable scoring a stacked matrix in one
-            call (e.g. ``predictor.tree_.predict`` directly).  When set,
-            :meth:`observe_fleet` scores a whole collection tick through
-            it — one compiled routing pass for the fleet — instead of
-            one ``score_sample`` call per drive.
+        voter: The :class:`VoterSpec` every drive's window is judged by.
+            Anything else raises ``ValueError``.
         quarantine: The degraded-mode policy (see
             :class:`QuarantinePolicy`; a default policy is installed when
             omitted).  Pass ``quarantine=None`` for strict mode, where a
@@ -397,12 +316,12 @@ class FleetMonitor:
 
     Example:
         >>> from repro.features.selection import critical_features
+        >>> import numpy as np
         >>> monitor = FleetMonitor(
         ...     critical_features(),
-        ...     score_sample=lambda row: 1.0,
-        ...     detector_factory=lambda: OnlineMajorityVote(3),
+        ...     lambda X: np.ones(len(X)),
+        ...     VoterSpec("majority", 3),
         ... )
-        >>> import numpy as np
         >>> monitor.observe("d1", 0.0, np.ones(12)) is None
         True
     """
@@ -412,10 +331,9 @@ class FleetMonitor:
     def __init__(
         self,
         features: Sequence[Feature],
-        score_sample: SampleScorer,
-        detector_factory: Callable[[], object],
+        score: Callable[[np.ndarray], np.ndarray],
+        voter: VoterSpec,
         *,
-        score_batch: Optional[BatchScorer] = None,
         quarantine: Optional[QuarantinePolicy] = _DEFAULT_QUARANTINE,
         tree: Optional[object] = None,
         feature_names: Optional[Sequence[str]] = None,
@@ -423,9 +341,8 @@ class FleetMonitor:
         slo: Optional[object] = None,
     ):
         self.features = tuple(features)
-        self.score_sample = score_sample
-        self.detector_factory = detector_factory
-        self.score_batch = score_batch
+        self.score = score
+        self.voter = voter
         self.quarantine = quarantine
         self.tree = tree
         self.feature_names = (
@@ -447,7 +364,7 @@ class FleetMonitor:
     def from_predictor(
         cls,
         predictor,
-        detector_factory: Callable[[], object],
+        voter: VoterSpec,
         **kwargs,
     ) -> "FleetMonitor":
         """Build a monitor serving a fitted pipeline's tree.
@@ -455,21 +372,17 @@ class FleetMonitor:
         ``predictor`` is any fitted pipeline exposing ``extractor`` and
         ``tree_`` (e.g. :class:`~repro.core.predictor.DriveFailurePredictor`
         or :class:`~repro.core.predictor.HealthDegreePredictor`): the
-        monitor scores through the tree's compiled batch entry point
-        (:meth:`~repro.tree.base.BaseDecisionTree.batch_scorer`) and
-        attaches the tree for decision-path provenance.  Extra keyword
-        arguments pass through to the constructor.
+        monitor scores through the tree's compiled ``predict`` (a bound
+        method, so it pickles with the tree) and attaches the tree for
+        decision-path provenance.  Extra keyword arguments pass through
+        to the constructor.
         """
         tree = predictor.tree_
         if tree is None:
             raise RuntimeError("predictor is not fitted; call fit() first")
         return cls(
-            predictor.extractor.features,
-            score_sample=tree.sample_scorer(),
-            detector_factory=detector_factory,
-            score_batch=tree.batch_scorer(),
-            tree=tree,
-            **kwargs,
+            predictor.extractor.features, tree.predict, voter,
+            tree=tree, **kwargs,
         )
 
     def observe(
@@ -484,9 +397,7 @@ class FleetMonitor:
         values inside a well-formed tick flow through to the model's
         surrogate routing unchanged.
         """
-        alerts = self._engine.tick(
-            hour, [(serial, channel_values)], [], single=True
-        )
+        alerts = self._engine.tick(hour, [(serial, channel_values)], [])
         return alerts[0] if alerts else None
 
     def observe_fleet(
@@ -501,9 +412,8 @@ class FleetMonitor:
         within the tick resolves last-write-wins with a
         ``duplicate-serial`` fault per overridden record, see
         :func:`_normalize_tick`).  The tick's usable feature rows are
-        stacked and scored together — one ``score_batch`` call when a
-        batch scorer is installed.  Returns the alerts raised by this
-        tick, in record order.
+        stacked and scored together in one ``score`` call.  Returns the
+        alerts raised by this tick, in record order.
         """
         items, duplicates = _normalize_tick(records)
         with _tick_instrumentation(len(items)):
@@ -580,9 +490,8 @@ class FleetMonitor:
 
     def set_model(
         self,
-        score_sample: SampleScorer,
+        score: Callable[[np.ndarray], np.ndarray],
         *,
-        score_batch: Optional[BatchScorer] = None,
         tree: Optional[object] = None,
         feature_names: Optional[Sequence[str]] = None,
     ) -> int:
@@ -594,8 +503,7 @@ class FleetMonitor:
         ``model_replaced`` event records the transition so every later
         alert's provenance names the model that raised it.
         """
-        self.score_sample = score_sample
-        self.score_batch = score_batch
+        self.score = score
         self.tree = tree
         if feature_names is not None:
             self.feature_names = tuple(feature_names)

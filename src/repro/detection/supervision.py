@@ -125,9 +125,9 @@ class TickJournal:
     * ``tick`` — one :class:`~repro.detection.streaming.NormalizedTick`,
       whatever the ingress: ``hour``, then ``roster_id`` (the
       registered roster) or ``roster`` (inline serials), the
-      ``duplicates``, ``bad_shape`` (``[index, shape]`` pairs) and
-      ``single`` when present, and the matrix as a ``sidecar`` — or
-      ``pinned: true`` for pinned-feed ticks.
+      ``duplicates`` and ``bad_shape`` (``[index, shape]`` pairs) when
+      present, and the matrix as a ``sidecar`` — or ``pinned: true``
+      for pinned-feed ticks.
 
     Durability contract (``fsync=True``, the default): a sidecar is
     written and fsync'd *before* the line referencing it, and each line
@@ -208,8 +208,6 @@ class TickJournal:
             line["bad_shape"] = [
                 [at, list(shape)] for at, shape in sorted(tick.bad_shape.items())
             ]
-        if tick.single:
-            line["single"] = True
         if tick.matrix is None:
             line["pinned"] = True
         else:
@@ -405,12 +403,12 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         self._context_pin = matrix
         super().pin_feed(matrix)
 
-    def _dispatch_tick(self, tick: NormalizedTick):
+    def _dispatch_tick(self, tick: NormalizedTick, *, collection: bool = True):
         # Every ingress funnels through here as one validated normalized
         # tick: probe, journal the write-ahead entry, then dispatch.
         self.probe_shards()
         self._journal.append_tick_matrix(tick, self._roster_id)
-        alerts = super()._dispatch_tick(tick)
+        alerts = super()._dispatch_tick(tick, collection=collection)
         self._after_tick()
         return alerts
 
@@ -650,7 +648,6 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
                     entry.get("matrix"),
                     tuple(entry.get("duplicates", ())),
                     entry.get("bad_shape", {}),
-                    entry.get("single", False),
                 )
                 self._replay_call(
                     sid, _shard_tick, _shard_payload(tick, layout, sid)

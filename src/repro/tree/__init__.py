@@ -21,7 +21,6 @@ options.
 """
 
 from repro.tree.bagging import subsample_member_inputs
-from repro.tree.base import ServingScorerMixin
 from repro.tree.boosting import AdaBoostClassifier
 from repro.tree.classification import ClassificationTree, weights_for_priors
 from repro.tree.compiled import CompiledForest, CompiledTree, compile_tree
@@ -53,7 +52,6 @@ from repro.tree.validation import (
 
 __all__ = [
     "AdaBoostClassifier",
-    "ServingScorerMixin",
     "AlphaSearchResult",
     "CrossValidationResult",
     "GridSearchResult",

@@ -28,38 +28,7 @@ from repro.tree.surrogates import (
 from repro.utils.validation import check_2d, check_positive
 
 
-class ServingScorerMixin:
-    """Serving-layer scoring entry points for fitted estimators.
-
-    Anything with a vectorized ``predict`` gains the two callables the
-    streaming layer (:class:`~repro.detection.streaming.FleetMonitor`)
-    consumes: :meth:`sample_scorer` scores one feature row through a
-    batch of one, :meth:`batch_scorer` scores a stacked
-    ``(n_rows, n_features)`` matrix in a single call — one compiled
-    routing pass per collection tick.  Both close over ``self``, so
-    :meth:`sample_scorer` and :meth:`batch_scorer` track later refits of
-    the same estimator.
-    """
-
-    def sample_scorer(self):
-        """A ``row -> float`` scorer for per-record serving."""
-
-        def score_sample(row: np.ndarray) -> float:
-            matrix = np.asarray(row, dtype=float).reshape(1, -1)
-            return float(self.predict(matrix)[0])
-
-        return score_sample
-
-    def batch_scorer(self):
-        """A ``matrix -> scores`` scorer for whole-tick serving."""
-
-        def score_batch(X: np.ndarray) -> np.ndarray:
-            return np.asarray(self.predict(X), dtype=float)
-
-        return score_batch
-
-
-class BaseDecisionTree(ServingScorerMixin, ABC):
+class BaseDecisionTree(ABC):
     """Common fit/apply/prune logic for classification and regression trees.
 
     Parameters mirror the paper's (and rpart's) controls:

@@ -14,13 +14,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.tree.base import ServingScorerMixin
 from repro.tree.classification import ClassificationTree
 from repro.tree.compiled import CompiledForest
 from repro.utils.validation import check_2d, check_matching_length
 
 
-class AdaBoostClassifier(ServingScorerMixin):
+class AdaBoostClassifier:
     """Discrete AdaBoost ensemble of depth-limited classification trees.
 
     Args:

@@ -13,7 +13,6 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from repro.tree.bagging import subsample_member_inputs
-from repro.tree.base import ServingScorerMixin
 from repro.tree.classification import ClassificationTree, ClassWeight
 from repro.tree.compiled import CompiledForest
 from repro.utils.parallel import run_tasks
@@ -37,7 +36,7 @@ def _fit_member(context, task):
     return tree, active
 
 
-class RandomForestClassifier(ServingScorerMixin):
+class RandomForestClassifier:
     """Bagged ensemble of :class:`ClassificationTree` with feature subsampling.
 
     Args:

@@ -16,7 +16,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.tree.bagging import subsample_member_inputs
-from repro.tree.base import ServingScorerMixin
 from repro.tree.compiled import CompiledForest
 from repro.tree.regression import RegressionTree
 from repro.utils.parallel import run_tasks
@@ -40,7 +39,7 @@ def _fit_member(context, task):
     return tree
 
 
-class RandomForestRegressor(ServingScorerMixin):
+class RandomForestRegressor:
     """Bootstrap-aggregated :class:`RegressionTree` ensemble.
 
     Args:

@@ -33,8 +33,11 @@ _VERSION = 1
 #: ``coordinator`` cell, written by
 #: :meth:`~repro.detection.sharded.ShardedFleetMonitor.snapshot` and
 #: read back by ``restore``/``restore_shard`` so a killed shard resumes
-#: bit-identically mid-stream.
-SHARD_SNAPSHOT_KIND = "shard-snapshot"
+#: bit-identically mid-stream.  The version suffix tracks the pickled
+#: :class:`~repro.detection.sharded.ShardSpec` and monitor layout: a
+#: snapshot from another layout is refused by the kind check instead of
+#: half-restoring.
+SHARD_SNAPSHOT_KIND = "shard-snapshot/v2"
 
 
 def encode_object(value: Any) -> dict:

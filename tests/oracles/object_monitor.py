@@ -3,12 +3,16 @@
 :class:`~repro.detection.streaming.FleetMonitor` serves every fleet from
 the structure-of-arrays state of :mod:`repro.detection.columnar`.  The
 engine it replaced walked one python object per drive per tick — a
-rolling :class:`OnlineFeatureBuffer`, a fresh voter from
-``detector_factory`` and a handful of latches — and that walk is the
-readable statement of what serving means.  It lives on here as the
-reference the golden parity suite (``tests/test_detection_columnar.py``)
-pins the columnar engine against: same alerts, faults, health report,
-event stream and quarantine decisions.
+rolling :class:`OnlineFeatureBuffer`, a windowed voter built from the
+monitor's :class:`~repro.detection.streaming.VoterSpec`
+(:class:`OnlineMajorityVote` / :class:`OnlineMeanThreshold`) and a
+handful of latches — and that walk is the readable statement of what
+serving means.  It lives on here as the reference the golden parity
+suite (``tests/test_detection_columnar.py``) pins the columnar engine
+against: same alerts, faults, health report, event stream and
+quarantine decisions; the per-drive voters are also the reference the
+matrix voters of :mod:`repro.detection.columnar` are checked against
+vote for vote.
 
 :class:`ObjectFleetMonitor` is a ``FleetMonitor`` whose engine is
 swapped for :class:`ObjectEngine`, so both run the same public surface
@@ -33,6 +37,7 @@ from repro.detection.streaming import (
     Alert,
     DriveStatus,
     FleetMonitor,
+    VoterSpec,
     _duplicate_serial_fault,
     _json_score,
     _normalize_tick,
@@ -42,6 +47,111 @@ from repro.observability import get_event_log, get_registry
 from repro.observability.events import decision_path_payload
 from repro.smart.attributes import N_CHANNELS, channel_index
 from repro.utils.errors import FaultKind, SampleFault
+from repro.utils.validation import check_positive
+
+
+class WindowedVoter:
+    """Shared mechanics of the streaming (windowed) voting rules.
+
+    Owns the single semantics source every windowed rule pins against:
+    the bounded window itself, the full-window alarm gate (``push``
+    never alarms before ``n_voters`` samples arrived), the
+    short-history flush rule (a shorter-than-window history is judged
+    once, over all its samples, like the offline detectors), and the
+    provenance snapshot.  Subclasses define how one score is stored
+    (:meth:`_ingest`), how a window width is judged (:meth:`_judge`)
+    and how one slot renders into provenance (:meth:`_slot_payload`).
+    The columnar ring-buffer voters (:mod:`repro.detection.columnar`)
+    replicate exactly these semantics, matrix-wide.
+    """
+
+    def __init__(self, n_voters: int):
+        check_positive("n_voters", n_voters)
+        self.n_voters = int(n_voters)
+        self._window: deque = deque(maxlen=self.n_voters)
+
+    def push(self, score: float) -> bool:
+        """Ingest one per-sample score; True when this time point alarms."""
+        self._ingest(score)
+        if len(self._window) < self.n_voters:
+            return False
+        return self._judge(self.n_voters)
+
+    def flush_short_history(self) -> bool:
+        """Judge a drive whose whole history is shorter than the window.
+
+        Mirrors the offline rule that short series are judged once over
+        all their samples.  A filled window is never re-judged.
+        """
+        if not self._window or len(self._window) >= self.n_voters:
+            return False
+        return self._judge(len(self._window))
+
+    def window_contents(self) -> list:
+        """The current voting window, oldest first (alert provenance)."""
+        return [self._slot_payload(slot) for slot in self._window]
+
+    # -- rule-specific hooks -------------------------------------------------
+
+    def _ingest(self, score: float) -> None:
+        raise NotImplementedError
+
+    def _judge(self, width: int) -> bool:
+        raise NotImplementedError
+
+    def _slot_payload(self, slot):
+        return slot
+
+
+class OnlineMajorityVote(WindowedVoter):
+    """Streaming equivalent of :class:`~repro.detection.voting.MajorityVoteDetector`.
+
+    ``push`` returns True the first time the trailing window holds a
+    strict failed majority.  NaN scores (missed/unusable samples) occupy
+    a window slot but never count as failed votes.
+    """
+
+    def __init__(self, n_voters: int = 1, failed_label: float = -1.0):
+        super().__init__(n_voters)
+        self.failed_label = failed_label
+        self._failed_in_window = 0
+
+    def _ingest(self, score: float) -> None:
+        if len(self._window) == self._window.maxlen and self._window[0]:
+            self._failed_in_window -= 1
+        vote = bool(np.isfinite(score) and score == self.failed_label)
+        self._window.append(vote)
+        if vote:
+            self._failed_in_window += 1
+
+    def _judge(self, width: int) -> bool:
+        return self._failed_in_window > width / 2.0
+
+
+class OnlineMeanThreshold(WindowedVoter):
+    """Streaming equivalent of :class:`~repro.detection.voting.MeanThresholdDetector`."""
+
+    def __init__(self, n_voters: int = 11, threshold: float = 0.0):
+        super().__init__(n_voters)
+        self.threshold = float(threshold)
+
+    def _ingest(self, score: float) -> None:
+        self._window.append(float(score))
+
+    def _judge(self, width: int) -> bool:
+        values = np.array(list(self._window)[-width:])
+        valid = values[np.isfinite(values)]
+        return valid.size > 0 and float(valid.mean()) < self.threshold
+
+    def _slot_payload(self, slot: float) -> Optional[float]:
+        return float(slot) if np.isfinite(slot) else None
+
+
+def online_voter(spec: VoterSpec) -> WindowedVoter:
+    """A fresh per-drive voter serving ``spec``'s rule."""
+    if spec.kind == "majority":
+        return OnlineMajorityVote(spec.n_voters, failed_label=spec.failed_label)
+    return OnlineMeanThreshold(spec.n_voters, threshold=spec.threshold)
 
 
 class OnlineFeatureBuffer:
@@ -138,7 +248,7 @@ class ObjectEngine:
         if state is None:
             state = _DriveState(
                 buffer=OnlineFeatureBuffer(self.monitor.features),
-                detector=self.monitor.detector_factory(),
+                detector=online_voter(self.monitor.voter),
             )
             self._drives[serial] = state
         return state
@@ -262,9 +372,7 @@ class ObjectEngine:
             "score": _json_score(alert.score),
             "model_generation": monitor.model_generation,
         }
-        window = getattr(state.detector, "window_contents", None)
-        if window is not None:
-            payload["window"] = window()
+        payload["window"] = state.detector.window_contents()
         if monitor.tree is not None and state.last_row is not None:
             payload["path"] = decision_path_payload(
                 monitor.tree, state.last_row, monitor.feature_names
@@ -278,10 +386,8 @@ class ObjectEngine:
         hour: float,
         items: list[tuple],
         duplicates: list[str],
-        *,
-        single: bool = False,
     ) -> list[Alert]:
-        """One collection tick, drive by drive."""
+        """One collection tick, drive by drive; one ``score`` call."""
         monitor = self.monitor
         registry = get_registry()
         for serial in duplicates:
@@ -306,15 +412,7 @@ class ObjectEngine:
         scores = np.full(len(ingested), np.nan)
         if usable:
             stacked = np.vstack([ingested[index][2] for index in usable])
-            if single or monitor.score_batch is None:
-                scores[usable] = [
-                    float(monitor.score_sample(stacked[at]))
-                    for at in range(len(usable))
-                ]
-            else:
-                scores[usable] = np.asarray(
-                    monitor.score_batch(stacked), dtype=float
-                )
+            scores[usable] = np.asarray(monitor.score(stacked), dtype=float)
             registry.counter(
                 "serve.scored", help=SCORED_HELP
             ).inc(len(usable))
@@ -340,8 +438,7 @@ class ObjectEngine:
         for serial, state in self._drives.items():
             if state.alerted or state.status is not DriveStatus.OK:
                 continue
-            flush = getattr(state.detector, "flush_short_history", None)
-            if flush is not None and flush():
+            if state.detector.flush_short_history():
                 state.alerted = True
                 alert = Alert(
                     serial=serial, hour=np.nan, score=np.nan,

@@ -22,10 +22,8 @@ from repro.detection import (
     FleetMonitor,
     MajorityVoteMatrix,
     MeanThresholdMatrix,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
-    WindowedVoter,
+    VoterSpec,
     window_matrix_for,
 )
 from repro.features.vectorize import Feature
@@ -37,7 +35,12 @@ from repro.smart.attributes import N_CHANNELS
 from repro.smart.dataset import SmartDataset
 from repro.smart.generator import default_fleet_config
 from repro.utils.errors import FaultKind
-from tests.oracles.object_monitor import ObjectFleetMonitor
+from tests.oracles.object_monitor import (
+    ObjectFleetMonitor,
+    OnlineMajorityVote,
+    OnlineMeanThreshold,
+    WindowedVoter,
+)
 
 #: The oracle first, then the production monitor.
 MONITORS = {"object": ObjectFleetMonitor, "columnar": FleetMonitor}
@@ -46,23 +49,12 @@ ENGINES = tuple(MONITORS)
 FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
 
 
-def _score_sample(row):
-    total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _score_batch(X):
+def _score(X):
     return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
 
 
-def _build(engine, detector=None, **kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    return MONITORS[engine](
-        FEATURES,
-        score_sample=_score_sample,
-        detector_factory=detector or (lambda: OnlineMajorityVote(3)),
-        **kwargs,
-    )
+def _build(engine, voter=VoterSpec("majority", 3), **kwargs):
+    return MONITORS[engine](FEATURES, _score, voter, **kwargs)
 
 
 def _nan_eq(a, b):
@@ -192,7 +184,7 @@ class TestVoterMatrices:
     @settings(deadline=None)
     def test_majority_matrix_matches_object_voter(self, scores, n_voters):
         voter = OnlineMajorityVote(n_voters)
-        matrix = window_matrix_for(OnlineMajorityVote(n_voters), 1)
+        matrix = window_matrix_for(VoterSpec("majority", n_voters), 1)
         rows = np.array([0])
         for score in scores:
             expected = voter.push(score)
@@ -214,7 +206,9 @@ class TestVoterMatrices:
     @settings(deadline=None)
     def test_mean_matrix_matches_object_voter(self, scores, n_voters, threshold):
         voter = OnlineMeanThreshold(n_voters, threshold)
-        matrix = window_matrix_for(OnlineMeanThreshold(n_voters, threshold), 1)
+        matrix = window_matrix_for(
+            VoterSpec("mean", n_voters, threshold=threshold), 1
+        )
         rows = np.array([0])
         for score in scores:
             expected = voter.push(score)
@@ -224,29 +218,12 @@ class TestVoterMatrices:
         assert matrix.flush(0) is voter.flush_short_history()
 
     def test_factory_builds_matching_matrix(self):
-        assert isinstance(
-            window_matrix_for(OnlineMajorityVote(3)), MajorityVoteMatrix
-        )
-        assert isinstance(
-            window_matrix_for(OnlineMeanThreshold(5, 0.5)), MeanThresholdMatrix
-        )
-
-    def test_factory_rejects_custom_detectors(self):
-        class Custom:
-            pass
-
-        with pytest.raises(
-            ValueError, match="OnlineMajorityVote and OnlineMeanThreshold"
-        ):
-            window_matrix_for(Custom())
-
-    def test_columnar_monitor_rejects_custom_detectors_early(self):
-        class Custom:
-            def push(self, score):
-                return False
-
-        with pytest.raises(ValueError, match="built a Custom;"):
-            _build("columnar", detector=lambda: Custom())
+        majority = window_matrix_for(VoterSpec("majority", 3, failed_label=2.0))
+        assert isinstance(majority, MajorityVoteMatrix)
+        assert (majority.n_voters, majority.failed_label) == (3, 2.0)
+        mean = window_matrix_for(VoterSpec("mean", 5, threshold=0.5))
+        assert isinstance(mean, MeanThresholdMatrix)
+        assert (mean.n_voters, mean.threshold) == (5, 0.5)
 
 
 class TestDuplicateSerials:
@@ -376,9 +353,8 @@ class TestGoldenParity:
         for engine in ENGINES:
             monitor = MONITORS[engine](
                 FEATURES,
-                score_sample=lambda row: float(np.nansum(row)),
-                detector_factory=lambda: OnlineMeanThreshold(4, threshold=0.0),
-                score_batch=lambda X: np.nansum(X, axis=1),
+                lambda X: np.nansum(X, axis=1),
+                VoterSpec("mean", 4, threshold=0.0),
             )
             rng = np.random.default_rng(11)
             for hour in range(30):
@@ -425,7 +401,7 @@ class TestFaultProfileParity:
             try:
                 monitor = _build(
                     engine,
-                    detector=lambda: OnlineMajorityVote(5),
+                    voter=VoterSpec("majority", 5),
                     quarantine=QuarantinePolicy(fault_limit=3),
                 )
                 alerts = replay_stream(monitor, events)
@@ -523,8 +499,7 @@ class TestFromPredictor:
             log = enable_events()
             try:
                 monitor = MONITORS[engine].from_predictor(
-                    predictor,
-                    detector_factory=lambda: OnlineMajorityVote(3),
+                    predictor, VoterSpec("majority", 3)
                 )
                 assert monitor.tree is predictor.tree_
                 for drive in drives:
@@ -547,15 +522,11 @@ class TestFromPredictor:
         predictor = DriveFailurePredictor(
             CTConfig(minsplit=4, minbucket=2, cp=0.002)
         ).fit(tiny_split)
-        monitor = FleetMonitor.from_predictor(
-            predictor, detector_factory=lambda: OnlineMajorityVote(3)
-        )
+        monitor = FleetMonitor.from_predictor(predictor, VoterSpec("majority", 3))
         assert isinstance(monitor._engine, ColumnarEngine)
-        assert monitor.score_batch is not None
+        assert monitor.score == predictor.tree_.predict
 
     def test_unfitted_predictor_is_rejected(self):
         predictor = DriveFailurePredictor(CTConfig(minsplit=4, minbucket=2))
         with pytest.raises(RuntimeError, match="not fitted"):
-            FleetMonitor.from_predictor(
-                predictor, detector_factory=lambda: OnlineMajorityVote(3)
-            )
+            FleetMonitor.from_predictor(predictor, VoterSpec("majority", 3))

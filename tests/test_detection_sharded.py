@@ -13,6 +13,7 @@ kill-and-resume bit-identity, and the canary rollout lifecycle.
 
 import json
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -22,19 +23,20 @@ from hypothesis import strategies as st
 
 from repro.detection import (
     FleetMonitor,
+    SupervisedShardedMonitor,
     CanaryPolicy,
     QuarantinePolicy,
     ShardedFleetMonitor,
-    TreeBatchScorer,
-    TreeSampleScorer,
     VoterSpec,
     shard_for,
+    window_matrix_for,
 )
 from repro.features.vectorize import Feature
 from repro.observability import disable_metrics, enable_metrics, get_registry
 from repro.observability.events import disable_events, enable_events
 from repro.observability.slo import SLOMonitor
 from repro.smart.attributes import N_CHANNELS
+from repro.utils.checkpoint import SHARD_SNAPSHOT_KIND
 from repro.utils.errors import UnpicklableTaskWarning
 
 SHARD_COUNTS = (1, 2, 7)
@@ -42,36 +44,20 @@ SHARD_COUNTS = (1, 2, 7)
 FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
 
 
-def _score_sample(row):
-    total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _score_batch(X):
+def _score(X):
     return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
 
 
-def _score_paging(row):
-    return -1.0
-
-
-def _score_paging_batch(X):
+def _score_paging(X):
     return np.full(len(X), -1.0)
 
 
-def _build_single(**kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return FleetMonitor(FEATURES, score_sample=_score_sample, **kwargs)
+def _build_single(voter=VoterSpec("majority", 3), **kwargs):
+    return FleetMonitor(FEATURES, _score, voter, **kwargs)
 
 
-def _build_sharded(n_shards, **kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return ShardedFleetMonitor(
-        FEATURES, _score_sample, kwargs.pop("detector_factory"),
-        n_shards=n_shards, **kwargs,
-    )
+def _build_sharded(n_shards, voter=VoterSpec("majority", 3), **kwargs):
+    return ShardedFleetMonitor(FEATURES, _score, voter, n_shards=n_shards, **kwargs)
 
 
 def _nan_eq(a, b):
@@ -251,11 +237,12 @@ class TestPicklableSpecs:
     """The callables that cross process/snapshot boundaries."""
 
     def test_voter_spec_builds_builtin_voters(self):
-        voter = VoterSpec("majority", 3)()
-        assert voter.push(-1.0) is False
-        mean = VoterSpec("mean", 2, threshold=0.5)()
-        assert mean.push(0.0) is False
-        assert mean.push(0.0) is True
+        row = np.array([0])
+        voter = window_matrix_for(VoterSpec("majority", 3), 1)
+        assert not voter.push(row, np.array([-1.0]))[0]
+        mean = window_matrix_for(VoterSpec("mean", 2, threshold=0.5), 1)
+        assert not mean.push(row, np.array([0.0]))[0]
+        assert mean.push(row, np.array([0.0]))[0]
 
     def test_voter_spec_rejects_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -273,17 +260,25 @@ class TestPicklableSpecs:
         return DriveFailurePredictor(config).fit(split)
 
     def test_tree_scorers_round_trip(self, tiny_split):
+        # from_predictor serves the tree's bound predict: it pickles with
+        # the tree, and one batch call scores every row exactly as a
+        # batch of one would, missing values (surrogate routing) included.
         predictor = self._fit_predictor(tiny_split)
-        sample = TreeSampleScorer(predictor.tree_)
-        batch = TreeBatchScorer(predictor.tree_)
-        X = np.zeros((3, len(predictor.extractor.features)))
-        assert [sample(row) for row in X] == list(batch(X))
+        score = pickle.loads(pickle.dumps(predictor.tree_.predict))
+        X = np.random.default_rng(0).normal(
+            size=(64, len(predictor.extractor.features))
+        )
+        X[::3, ::2] = np.nan
+        per_row = [float(score(row.reshape(1, -1))[0]) for row in X]
+        assert per_row == [float(v) for v in score(X)]
+        assert list(score(X)) == list(predictor.tree_.predict(X))
 
     def test_from_predictor_builds_a_sharded_monitor(self, tiny_split):
         predictor = self._fit_predictor(tiny_split)
         with ShardedFleetMonitor.from_predictor(
-            predictor, detector_factory=VoterSpec("majority", 3), n_shards=2
+            predictor, VoterSpec("majority", 3), n_shards=2
         ) as monitor:
+            assert monitor._spec.score == predictor.tree_.predict
             rng = np.random.default_rng(0)
             for hour in range(3):
                 monitor.observe_fleet(
@@ -306,9 +301,8 @@ class TestConstruction:
         with pytest.warns(UnpicklableTaskWarning):
             monitor = ShardedFleetMonitor(
                 FEATURES,
-                lambda row: 1.0,  # lambda cannot cross a process boundary
+                lambda X: np.ones(len(X)),  # lambda cannot cross a process boundary
                 VoterSpec("majority", 3),
-                score_batch=None,
                 n_shards=2,
                 mode="process",
             )
@@ -560,8 +554,7 @@ class TestCanaryDeployment:
 
     def _quiet_fleet(self, n_shards=2):
         monitor = ShardedFleetMonitor(
-            FEATURES, _score_sample, VoterSpec("majority", 1),
-            score_batch=_score_batch, n_shards=n_shards,
+            FEATURES, _score, VoterSpec("majority", 1), n_shards=n_shards,
         )
         monitor.observe_fleet(
             0.0, {f"c{d}": np.ones(N_CHANNELS) for d in range(8)}
@@ -579,8 +572,7 @@ class TestCanaryDeployment:
         try:
             monitor = self._quiet_fleet()
             generation = monitor.begin_deployment(
-                _score_sample, score_batch=_score_batch,
-                canary_shards=(0,), policy=CanaryPolicy(soak_ticks=2),
+                _score, canary_shards=(0,), policy=CanaryPolicy(soak_ticks=2),
             )
             assert generation == 1
             assert monitor.deployment_active
@@ -602,8 +594,7 @@ class TestCanaryDeployment:
         try:
             monitor = self._quiet_fleet()
             monitor.begin_deployment(
-                _score_paging, score_batch=_score_paging_batch,
-                canary_shards=(1,), policy=CanaryPolicy(soak_ticks=2),
+                _score_paging, canary_shards=(1,), policy=CanaryPolicy(soak_ticks=2),
             )
             self._soak(monitor, (1, 2))
             assert monitor.last_verdict["passed"] is False
@@ -623,19 +614,18 @@ class TestCanaryDeployment:
         monitor = self._quiet_fleet(n_shards=3)
         try:
             with pytest.raises(ValueError, match="at least one"):
-                monitor.begin_deployment(_score_sample, canary_shards=())
+                monitor.begin_deployment(_score, canary_shards=())
             with pytest.raises(ValueError, match="outside"):
-                monitor.begin_deployment(_score_sample, canary_shards=(5,))
+                monitor.begin_deployment(_score, canary_shards=(5,))
             with pytest.raises(ValueError, match="control group"):
-                monitor.begin_deployment(_score_sample, canary_shards=(0, 1, 2))
+                monitor.begin_deployment(_score, canary_shards=(0, 1, 2))
             monitor.begin_deployment(
-                _score_sample, canary_shards=(0,),
-                policy=CanaryPolicy(soak_ticks=4),
+                _score, canary_shards=(0,), policy=CanaryPolicy(soak_ticks=4),
             )
             with pytest.raises(RuntimeError, match="in flight"):
-                monitor.begin_deployment(_score_sample, canary_shards=(1,))
+                monitor.begin_deployment(_score, canary_shards=(1,))
             with pytest.raises(RuntimeError, match="deployment"):
-                monitor.set_model(_score_sample)
+                monitor.set_model(_score)
         finally:
             monitor.close()
 
@@ -643,7 +633,7 @@ class TestCanaryDeployment:
         log = enable_events()
         try:
             monitor = self._quiet_fleet()
-            monitor.set_model(_score_paging, score_batch=_score_paging_batch)
+            monitor.set_model(_score_paging)
             assert monitor.model_generation == 1
             replaced = [e for e in log.events if e.type == "model_replaced"]
             assert len(replaced) == 1
@@ -656,3 +646,96 @@ class TestCanaryDeployment:
         finally:
             disable_events()
             monitor.close()
+
+
+class _CountingScore:
+    """A batch scorer that records the row count of every call."""
+
+    def __init__(self):
+        self.calls: list[int] = []
+
+    def __call__(self, X):
+        self.calls.append(len(X))
+        return _score(X)
+
+
+class TestOneServingModel:
+    """One batch scorer and one VoterSpec, through every model change."""
+
+    @pytest.mark.parametrize("kind, n_voters", [
+        ("majority", 0), ("mean", -2), ("plurality", 3),
+    ])
+    @pytest.mark.parametrize("shape", ["single", "sharded", "supervised"])
+    def test_invalid_voter_spec_fails_before_any_worker(
+        self, monkeypatch, tmp_path, shape, kind, n_voters
+    ):
+        from repro.detection import sharded
+
+        started = []
+        monkeypatch.setattr(
+            sharded, "WorkerHost", lambda *args, **kwargs: started.append(args)
+        )
+        build = {
+            "single": lambda voter: FleetMonitor(FEATURES, _score, voter),
+            "sharded": lambda voter: ShardedFleetMonitor(
+                FEATURES, _score, voter, n_shards=2, mode="process"
+            ),
+            "supervised": lambda voter: SupervisedShardedMonitor(
+                FEATURES, _score, voter, n_shards=2, mode="process",
+                run_dir=tmp_path / "run",
+            ),
+        }[shape]
+        with pytest.raises(ValueError, match="n_voters|kind"):
+            build(VoterSpec(kind, n_voters))
+        assert started == []
+
+    def test_set_model_keeps_one_score_call_per_tick(self):
+        serials = [f"d{d:04d}" for d in range(1000)]
+        matrix = np.ones((len(serials), N_CHANNELS))
+        monitor = _build_single()
+        monitor.register_fleet(serials)
+        before = _CountingScore()
+        monitor.set_model(before)
+        monitor.observe_tick(0.0, matrix)
+        after = _CountingScore()
+        monitor.set_model(after)
+        monitor.observe_tick(1.0, matrix)
+        assert before.calls == [1000] and after.calls == [1000]
+
+    def test_sharded_model_changes_keep_one_score_call_per_shard(self):
+        serials = [f"d{d:04d}" for d in range(1000)]
+        matrix = np.ones((len(serials), N_CHANNELS))
+        owned = Counter(shard_for(serial, 2) for serial in serials)
+        per_shard = [owned[0], owned[1]]
+        with _build_sharded(2) as monitor:
+            monitor.register_fleet(serials)
+            swapped = _CountingScore()
+            monitor.set_model(swapped)
+            monitor.observe_tick(0.0, matrix)
+            assert sorted(swapped.calls) == sorted(per_shard)
+
+            candidate = _CountingScore()
+            monitor.begin_deployment(
+                candidate, canary_shards=(0,), policy=CanaryPolicy(soak_ticks=1)
+            )
+            monitor.observe_tick(1.0, matrix)
+            assert monitor.last_verdict["passed"] is True  # cut over
+            assert candidate.calls == [owned[0]]
+            monitor.observe_tick(2.0, matrix)
+            assert sorted(candidate.calls[1:]) == sorted(per_shard)
+
+    def test_snapshot_from_the_previous_layout_is_refused(self, tmp_path):
+        monitor = _build_sharded(2)
+        monitor.observe_fleet(0.0, {"a": np.ones(N_CHANNELS)})
+        path = tmp_path / "snap.json"
+        monitor.snapshot(path)
+        document = json.loads(path.read_text())
+        assert document["kind"] == SHARD_SNAPSHOT_KIND != "shard-snapshot"
+        # The kind a snapshot of the score_sample/detector_factory layout
+        # carries; its pickled ShardSpec cannot serve this code.
+        document["kind"] = "shard-snapshot"
+        path.write_text(json.dumps(document))
+        with pytest.raises(ValueError, match="'shard-snapshot', not"):
+            ShardedFleetMonitor.restore(path)
+        with pytest.raises(ValueError, match="'shard-snapshot', not"):
+            monitor.restore_shard(0, path)

@@ -13,15 +13,23 @@ from repro.detection.streaming import (
     Alert,
     DriveStatus,
     FleetMonitor,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.detection.voting import MajorityVoteDetector, MeanThresholdDetector
 from repro.features.selection import critical_features
 from repro.features.vectorize import Feature
 from repro.smart.attributes import N_CHANNELS, channel_index
-from tests.oracles.object_monitor import OnlineFeatureBuffer
+from tests.oracles.object_monitor import (
+    OnlineFeatureBuffer,
+    OnlineMajorityVote,
+    OnlineMeanThreshold,
+)
+
+
+def _constant(score):
+    """A batch scorer giving every row the same score."""
+    return lambda X: np.full(len(X), score)
 
 
 class TestOnlineFeatureBuffer:
@@ -242,9 +250,7 @@ class TestFleetMonitor:
         }
 
         monitor = FleetMonitor(
-            ct.extractor.features,
-            score_sample=lambda row: float(ct.tree_.predict(row.reshape(1, -1))[0]),
-            detector_factory=lambda: OnlineMajorityVote(n_voters=n_voters),
+            ct.extractor.features, ct.tree_.predict, VoterSpec("majority", n_voters)
         )
         for drive in drives:
             for hour, values in zip(drive.hours, drive.values):
@@ -256,8 +262,8 @@ class TestFleetMonitor:
     def test_one_alert_per_drive(self):
         monitor = FleetMonitor(
             [Feature("POH")],
-            score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            _constant(-1.0),
+            VoterSpec("majority", 1),
         )
         values = np.ones(N_CHANNELS)
         first = monitor.observe("d", 0.0, values)
@@ -269,8 +275,8 @@ class TestFleetMonitor:
     def test_watched_drives(self):
         monitor = FleetMonitor(
             [Feature("POH")],
-            score_sample=lambda row: 1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            _constant(1.0),
+            VoterSpec("majority", 1),
         )
         monitor.observe("b", 0.0, np.ones(N_CHANNELS))
         monitor.observe("a", 0.0, np.ones(N_CHANNELS))
@@ -279,15 +285,11 @@ class TestFleetMonitor:
     def test_all_nan_record_scored_without_model_call(self):
         calls = []
 
-        def scorer(row):
-            calls.append(row)
-            return -1.0
+        def scorer(X):
+            calls.append(X)
+            return -np.ones(len(X))
 
-        monitor = FleetMonitor(
-            [Feature("POH")],
-            score_sample=scorer,
-            detector_factory=lambda: OnlineMajorityVote(1),
-        )
+        monitor = FleetMonitor([Feature("POH")], scorer, VoterSpec("majority", 1))
         monitor.observe("d", 0.0, np.full(N_CHANNELS, np.nan))
         assert calls == []
 
@@ -296,8 +298,8 @@ class TestQuarantine:
     def _monitor(self, **kwargs):
         return FleetMonitor(
             [Feature("POH")],
-            score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            _constant(-1.0),
+            VoterSpec("majority", 1),
             **kwargs,
         )
 
@@ -321,8 +323,8 @@ class TestQuarantine:
     def test_drive_degrades_past_fault_limit_and_stops_alerting(self):
         monitor = FleetMonitor(
             [Feature("POH")],
-            score_sample=lambda row: 1.0,  # healthy until we flip it
-            detector_factory=lambda: OnlineMajorityVote(1),
+            _constant(1.0),  # healthy until we flip it
+            VoterSpec("majority", 1),
             quarantine=QuarantinePolicy(fault_limit=2),
         )
         values = np.ones(N_CHANNELS)
@@ -333,7 +335,7 @@ class TestQuarantine:
         assert monitor.degraded_drives() == ["d"]
         # A clean, would-be-alarming tick must not page for a
         # quarantined drive.
-        monitor.score_sample = lambda row: -1.0
+        monitor.score = _constant(-1.0)
         assert monitor.observe("d", 1.0, values) is None
         assert monitor.alerts == []
 
@@ -357,8 +359,8 @@ class TestQuarantine:
     def test_finalize_skips_degraded_drives(self):
         monitor = FleetMonitor(
             [Feature("POH")],
-            score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(5),
+            _constant(-1.0),
+            VoterSpec("majority", 5),
             quarantine=QuarantinePolicy(fault_limit=0),
         )
         values = np.ones(N_CHANNELS)
@@ -383,9 +385,8 @@ class TestQuarantine:
     def test_observe_fleet_routes_through_the_gate(self):
         monitor = FleetMonitor(
             [Feature("POH")],
-            score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(1),
-            score_batch=lambda rows: -np.ones(rows.shape[0]),
+            _constant(-1.0),
+            VoterSpec("majority", 1),
         )
         values = np.ones(N_CHANNELS)
         monitor.observe_fleet(1.0, {"a": values, "b": values})

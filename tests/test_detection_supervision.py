@@ -60,27 +60,17 @@ SUPERVISION_EVENTS = {
 }
 
 
-def _score_sample(row):
-    total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _score_batch(X):
+def _score(X):
     return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
 
 
-def _build_single(**kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
-    return FleetMonitor(FEATURES, score_sample=_score_sample, **kwargs)
+def _build_single(voter=VoterSpec("majority", 3), **kwargs):
+    return FleetMonitor(FEATURES, _score, voter, **kwargs)
 
 
-def _build_supervised(n_shards, run_dir, **kwargs):
-    kwargs.setdefault("score_batch", _score_batch)
-    kwargs.setdefault("detector_factory", VoterSpec("majority", 3))
+def _build_supervised(n_shards, run_dir, voter=VoterSpec("majority", 3), **kwargs):
     return SupervisedShardedMonitor(
-        FEATURES, _score_sample, kwargs.pop("detector_factory"),
-        n_shards=n_shards, run_dir=run_dir, **kwargs,
+        FEATURES, _score, voter, n_shards=n_shards, run_dir=run_dir, **kwargs,
     )
 
 
@@ -212,7 +202,7 @@ class TestTickJournal:
         journal.append_tick_matrix(NormalizedTick(1.0, None, None), 1)
         adhoc = self._matrix(rows=2, seed=1)
         journal.append_tick_matrix(
-            NormalizedTick(2.0, ("a", "e"), adhoc, ("a",), {1: (3,)}, single=True), 1
+            NormalizedTick(2.0, ("a", "e"), adhoc, ("a",), {1: (3,)}), 1
         )
         journal.close()
 
@@ -229,7 +219,9 @@ class TestTickJournal:
         assert np.array_equal(entries[4]["matrix"], adhoc)
         assert entries[4]["duplicates"] == ["a"]
         assert entries[4]["bad_shape"] == {1: (3,)}
-        assert entries[4]["single"] is True
+        assert set(entries[4]) == {
+            "kind", "hour", "roster", "duplicates", "bad_shape", "sidecar", "matrix",
+        }
         assert journal.tick_count == 3
 
     def test_header_line_is_schema_tagged(self, tmp_path):
@@ -723,13 +715,13 @@ class TestJournalContract:
                 assert entry["roster"] == list(tick.roster)
             assert entry.get("duplicates", []) == list(tick.duplicates)
             assert entry.get("bad_shape", {}) == dict(tick.bad_shape)
-            assert entry.get("single", False) is tick.single
+            assert "single" not in entry
             if tick.matrix is None:
                 assert entry["pinned"] is True and "matrix" not in entry
             else:
                 assert np.array_equal(entry["matrix"], tick.matrix, equal_nan=True)
         observe, serials, fleet, dup_roster, roster, pinned = entries
-        assert observe["single"] is True and observe["bad_shape"] == {0: (3,)}
+        assert observe["roster"] == ["a"] and observe["bad_shape"] == {0: (3,)}
         assert serials["roster"] == ["c"] and serials["duplicates"] == ["c"]
         assert fleet["duplicates"] == ["a"] and fleet["bad_shape"] == {1: (5,)}
         assert dup_roster["duplicates"] == ["a"]
@@ -786,7 +778,7 @@ class TestRestartBudget:
     def _flapping_run(self, tmp_path, log):
         monitor = _build_supervised(
             2, tmp_path / "run",
-            detector_factory=VoterSpec("majority", 1),
+            voter=VoterSpec("majority", 1),
             restart_policy=RestartPolicy(max_restarts=2, window_ticks=100),
             snapshot_every=0,
         )
@@ -842,7 +834,7 @@ class TestRestartBudget:
     def test_restart_window_ages_old_deaths_out(self, tmp_path):
         monitor = _build_supervised(
             2, tmp_path / "run",
-            detector_factory=VoterSpec("majority", 1),
+            voter=VoterSpec("majority", 1),
             restart_policy=RestartPolicy(max_restarts=2, window_ticks=4),
             snapshot_every=0,
         )
@@ -882,7 +874,7 @@ class TestSnapshotCadence:
             for hour in range(3):
                 monitor.observe_fleet(float(hour), records)
             assert monitor.journal.tick_count == 3
-            monitor.set_model(_score_sample, score_batch=_score_batch)
+            monitor.set_model(_score)
             # The snapshot owns the ticks; the journal restarts empty.
             assert monitor.journal.tick_count == 0
             assert "coordinator" in monitor._snapshot_store
@@ -975,14 +967,13 @@ class TestCanaryRecovery:
 
         def run(run_dir, kill):
             monitor = _build_supervised(
-                2, run_dir, detector_factory=VoterSpec("majority", 1),
+                2, run_dir, voter=VoterSpec("majority", 1),
                 snapshot_every=0,
             )
             try:
                 monitor.observe_fleet(0.0, records)
                 monitor.begin_deployment(
-                    _score_sample, score_batch=_score_batch,
-                    canary_shards=(0,), policy=CanaryPolicy(soak_ticks=4),
+                    _score, canary_shards=(0,), policy=CanaryPolicy(soak_ticks=4),
                 )
                 for hour in range(1, 5):
                     if kill and hour == 3:

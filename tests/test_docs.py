@@ -95,6 +95,32 @@ class TestLinkChecker:
         assert broken == [f"{page}: missing/file.md"]
 
 
+#: Serving API names retired for the one-scorer, one-VoterSpec model;
+#: user-facing docs and examples must not teach them.
+RETIRED_SERVING_NAMES = (
+    "score_sample", "score_batch", "detector_factory", "sample_scorer",
+    "batch_scorer", "SampleScorer", "BatchScorer", "OnlineMajorityVote",
+    "OnlineMeanThreshold", "WindowedVoter", "TreeSampleScorer",
+    "TreeBatchScorer", "ServingScorerMixin",
+)
+
+
+class TestRetiredNames:
+    def test_docs_and_examples_use_the_current_serving_api(self):
+        files = [
+            ROOT / "README.md",
+            *sorted((ROOT / "docs").glob("*.md")),
+            *sorted((ROOT / "examples").glob("*.py")),
+        ]
+        found = [
+            f"{path.relative_to(ROOT)}: {name}"
+            for path in files
+            for name in RETIRED_SERVING_NAMES
+            if name in path.read_text()
+        ]
+        assert found == []
+
+
 def _run_example(name: str) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

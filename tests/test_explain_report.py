@@ -30,8 +30,8 @@ from hypothesis import strategies as st
 from repro import observability as obs
 from repro.detection.streaming import (
     FleetMonitor,
-    OnlineMajorityVote,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.explain import (
     EXPLAIN_REPORT_SCHEMA,
@@ -75,8 +75,8 @@ def _fit_tree(backend: str, seed: int = 0) -> ClassificationTree:
 def _alerting_monitor(tree) -> FleetMonitor:
     return FleetMonitor(
         basic_features(),
-        score_sample=lambda row: -1.0,
-        detector_factory=lambda: OnlineMajorityVote(1),
+        lambda X: np.full(len(X), -1.0),
+        VoterSpec("majority", 1),
         quarantine=QuarantinePolicy(fault_limit=0),
         tree=tree,
     )

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from repro.detection.reporting import PathStep
-from repro.detection.streaming import OnlineMajorityVote, OnlineMeanThreshold
 from repro.smart.stats import FleetSummaryRow, fleet_summary
 from repro.tree.export import Rule
 from repro.utils.tables import format_float
+from tests.oracles.object_monitor import OnlineMajorityVote, OnlineMeanThreshold
 
 
 class TestPathStepRendering:

@@ -28,9 +28,8 @@ from repro import observability as obs
 from repro.detection.metrics import DetectionResult
 from repro.detection.streaming import (
     FleetMonitor,
-    OnlineMajorityVote,
-    OnlineMeanThreshold,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.features.selection import basic_features
 from repro.observability.cli import main as events_cli
@@ -317,8 +316,8 @@ def _alerting_monitor(tree=None, *, slo=None) -> FleetMonitor:
     """A monitor whose model alarms on every scored tick."""
     return FleetMonitor(
         basic_features(),
-        score_sample=lambda row: -1.0,
-        detector_factory=lambda: OnlineMajorityVote(1),
+        lambda X: np.full(len(X), -1.0),
+        VoterSpec("majority", 1),
         quarantine=QuarantinePolicy(fault_limit=0),
         tree=tree,
         slo=slo,
@@ -340,14 +339,14 @@ class TestReplayInvariant:
         log = _recording_log()
         flip = {"n": 0}
 
-        def alternating(row):
+        def alternating(X):
             flip["n"] += 1
-            return -1.0 if flip["n"] % 2 else 1.0
+            return np.full(len(X), -1.0 if flip["n"] % 2 else 1.0)
 
         monitor = FleetMonitor(
             basic_features(),
-            score_sample=alternating,
-            detector_factory=lambda: OnlineMajorityVote(1),
+            alternating,
+            VoterSpec("majority", 1),
             quarantine=QuarantinePolicy(fault_limit=0),
         )
         clean = np.ones(N_CHANNELS)
@@ -433,8 +432,8 @@ class TestAlertProvenance:
         log = _recording_log()
         monitor = FleetMonitor(
             basic_features(),
-            score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMeanThreshold(2, threshold=0.0),
+            lambda X: np.full(len(X), -1.0),
+            VoterSpec("mean", 2, threshold=0.0),
         )
         clean = np.ones(N_CHANNELS)
         monitor.observe("d1", 0.0, clean)
@@ -447,7 +446,7 @@ class TestModelLifecycleEvents:
     def test_set_model_bumps_generation_and_emits(self):
         log = _recording_log()
         monitor = _alerting_monitor()
-        assert monitor.set_model(lambda row: 1.0) == 1
+        assert monitor.set_model(lambda X: np.ones(len(X))) == 1
         (event,) = log.by_type("model_replaced")
         assert event.data == {"from_generation": 0, "to_generation": 1}
         monitor.observe("d1", 0.0, np.ones(N_CHANNELS))  # healthy model now

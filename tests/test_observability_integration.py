@@ -35,8 +35,8 @@ from repro.detection.evaluator import evaluate_detection
 from repro.detection.streaming import (
     HEALTH_REPORT_SCHEMA,
     FleetMonitor,
-    OnlineMajorityVote,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.detection.voting import MajorityVoteDetector
 from repro.experiments.common import ExperimentScale, run_experiment_grid
@@ -88,14 +88,14 @@ def _run_serving():
     """Drive the streaming monitor through every serve.* code path."""
     flip = {"calls": 0}
 
-    def alternating_score(row):
+    def alternating_score(X):
         flip["calls"] += 1
-        return -1.0 if flip["calls"] % 2 else 1.0
+        return np.full(len(X), -1.0 if flip["calls"] % 2 else 1.0)
 
     monitor = FleetMonitor(
         basic_features(),
-        score_sample=alternating_score,
-        detector_factory=lambda: OnlineMajorityVote(1),
+        alternating_score,
+        VoterSpec("majority", 1),
         quarantine=QuarantinePolicy(fault_limit=0),
         slo=SLOMonitor(),
     )
@@ -122,9 +122,8 @@ def _run_serving():
 
     batch = FleetMonitor(
         basic_features(),
-        score_sample=lambda row: -1.0,
-        detector_factory=lambda: OnlineMajorityVote(3),
-        score_batch=lambda X: -np.ones(len(X)),
+        lambda X: -np.ones(len(X)),
+        VoterSpec("majority", 3),
     )
     for hour in range(2):
         batch.observe_fleet(
@@ -134,28 +133,21 @@ def _run_serving():
     return monitor.health_report()
 
 
-def _score_healthy(row):
-    return 1.0
+def _score_healthy(X):
+    return np.ones(len(X))
 
 
-def _score_paging(row):
-    return -1.0
+def _score_paging(X):
+    return np.full(len(X), -1.0)
 
 
 def _run_sharded_serving(tmp):
     """Drive the sharded coordinator through every shard.* code path."""
-    from repro.detection.sharded import (
-        CanaryPolicy,
-        ShardedFleetMonitor,
-        VoterSpec,
-    )
+    from repro.detection.sharded import CanaryPolicy, ShardedFleetMonitor
 
     def build():
         return ShardedFleetMonitor(
-            basic_features(),
-            score_sample=_score_healthy,
-            detector_factory=VoterSpec("majority", 1),
-            n_shards=2,
+            basic_features(), _score_healthy, VoterSpec("majority", 1), n_shards=2,
         )
 
     clean = np.ones(N_CHANNELS)
@@ -191,7 +183,6 @@ def _run_supervised_serving(tmp):
         RestartPolicy,
         SupervisedShardedMonitor,
     )
-    from repro.detection.sharded import VoterSpec
 
     monitor = SupervisedShardedMonitor(
         basic_features(),

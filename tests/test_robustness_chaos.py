@@ -26,8 +26,8 @@ from repro.core.predictor import DriveFailurePredictor
 from repro.detection.streaming import (
     DriveStatus,
     FleetMonitor,
-    OnlineMajorityVote,
     QuarantinePolicy,
+    VoterSpec,
 )
 from repro.robustness import (
     BUILTIN_PROFILES,
@@ -146,8 +146,8 @@ class TestChaosEndToEnd:
         )
         monitor = FleetMonitor(
             ct.extractor.features,
-            score_sample=lambda row: float(ct.tree_.predict(row.reshape(1, -1))[0]),
-            detector_factory=lambda: OnlineMajorityVote(N_VOTERS),
+            ct.tree_.predict,
+            VoterSpec("majority", N_VOTERS),
             quarantine=QuarantinePolicy(fault_limit=3),
         )
         alerts = replay_stream(monitor, events)
@@ -205,12 +205,7 @@ class TestChaosEndToEnd:
         assert chaos_report["schema"] == "repro.chaos-report/v1"
 
 
-def _chaos_score_sample(row):
-    total = np.nansum(row)
-    return -1.0 if total < 0.0 else 1.0
-
-
-def _chaos_score_batch(X):
+def _chaos_score(X):
     return np.where(np.nansum(X, axis=1) < 0.0, -1.0, 1.0)
 
 
@@ -226,7 +221,7 @@ def test_kill9_recovery(tmp_path, chaos_report):
     import signal as _signal
     import time as _time
 
-    from repro.detection import SupervisedShardedMonitor, VoterSpec
+    from repro.detection import SupervisedShardedMonitor
     from repro.features.vectorize import Feature
 
     features = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0))
@@ -248,9 +243,8 @@ def test_kill9_recovery(tmp_path, chaos_report):
     def build_single():
         return FleetMonitor(
             features,
-            score_sample=_chaos_score_sample,
-            score_batch=_chaos_score_batch,
-            detector_factory=VoterSpec("majority", 3),
+            _chaos_score,
+            VoterSpec("majority", 3),
             quarantine=QuarantinePolicy(fault_limit=3),
         )
 
@@ -276,8 +270,7 @@ def test_kill9_recovery(tmp_path, chaos_report):
     expected = state_of(golden)
 
     monitor = SupervisedShardedMonitor(
-        features, _chaos_score_sample, VoterSpec("majority", 3),
-        score_batch=_chaos_score_batch,
+        features, _chaos_score, VoterSpec("majority", 3),
         quarantine=QuarantinePolicy(fault_limit=3),
         n_shards=2, mode="process",
         run_dir=tmp_path / "kill9", snapshot_every=4,
@@ -322,8 +315,8 @@ class TestGapsDoNotResetVoting:
 
         monitor = FleetMonitor(
             [Feature("POH")],
-            score_sample=lambda row: -1.0,
-            detector_factory=lambda: OnlineMajorityVote(3),
+            lambda X: np.full(len(X), -1.0),
+            VoterSpec("majority", 3),
         )
         values = np.ones(N_CHANNELS)
         blank = np.full(N_CHANNELS, np.nan)
