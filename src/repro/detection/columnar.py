@@ -741,10 +741,6 @@ class ColumnarEngine:
     def n_watched(self) -> int:
         return len(self._serials)
 
-    def is_alerted(self, serial: str) -> bool:
-        row = self._row.get(serial)
-        return bool(self._alerted[row]) if row is not None else False
-
     def drive_status(self, serial: str) -> DriveStatus:
         row = self._row.get(serial)
         if row is not None and self._degraded[row]:

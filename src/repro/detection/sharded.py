@@ -5,10 +5,13 @@ columnar engine — is one process, so fleet throughput stops at one
 core.  This module scales the same serving semantics *out*:
 :class:`ShardedFleetMonitor` partitions drives across N columnar shard
 monitors by a stable serial hash (:func:`shard_for`), fans every
-collection tick out to the shards — in-process (``mode="serial"``) or
-on long-lived worker processes (``mode="process"``, one
-:class:`~repro.utils.parallel.WorkerHost` per shard) — and merges the
-per-shard results back into one coordinator-level truth:
+collection tick out to the shards and merges the per-shard results
+back into one coordinator-level truth.  Each shard lives on one host
+behind one contract: an :class:`~repro.utils.parallel.InProcessHost`
+(``mode="serial"``) or a long-lived
+:class:`~repro.utils.parallel.WorkerHost` process (``mode="process"``).
+The mode picks the host class at construction and nothing else; every
+dispatch, kill, restore and recovery path is the same for both.
 
 * **One tick** — every ingress (:meth:`~ShardedFleetMonitor.observe`,
   ``observe_fleet``, ``observe_tick`` and the pinned feed) is
@@ -77,7 +80,6 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 import numpy as np
 
 from repro.detection.streaming import (
-    HEALTH_REPORT_SCHEMA,
     Alert,
     DriveStatus,
     FleetMonitor,
@@ -86,19 +88,20 @@ from repro.detection.streaming import (
     VoterSpec,
     _aligned_matrix,
     _check_voter,
+    _health_report,
     _normalize_tick,
+    _resolve_outcome,
     _stack_items,
     _tick_instrumentation,
+    _unpack_predictor,
 )
 from repro.features.vectorize import Feature
 from repro.observability import (
     RemoteObservation,
     absorb_remote,
-    capture_remote,
     get_event_log,
     get_registry,
     get_tracer,
-    worker_config,
 )
 from repro.utils.checkpoint import (
     SHARD_SNAPSHOT_KIND,
@@ -111,12 +114,13 @@ from repro.utils.errors import (
     UnpicklableTaskWarning,
     WorkerDiedError,
 )
-from repro.utils.parallel import WorkerHost, resolve_shards
+from repro.utils.parallel import InProcessHost, WorkerHost, resolve_shards
 
-#: Execution modes: ``"serial"`` ticks shards in-process (deterministic
-#: reference, zero processes), ``"process"`` hosts each shard on its own
-#: long-lived worker (the scale-out path).  Both produce identical
-#: output — the merge path is shared.
+#: Execution modes: ``"serial"`` hosts every shard in-process
+#: (:class:`~repro.utils.parallel.InProcessHost`, zero processes),
+#: ``"process"`` hosts each on its own long-lived worker
+#: (:class:`~repro.utils.parallel.WorkerHost`, the scale-out path).
+#: Both produce identical output — only the host class differs.
 SHARD_MODES = ("serial", "process")
 
 # Counter/histogram help strings (shared so snapshots merge cleanly).
@@ -317,10 +321,10 @@ def _model(score: Callable, tree: Optional[object], feature_names) -> dict:
 
 # -- shard-side entry points ---------------------------------------------------
 #
-# Module-level ``func(state, payload)`` callables, executed either
-# in-process (serial mode, under capture_remote) or inside a WorkerHost
-# (process mode).  ``state`` is the shard cell dict built by
-# _ShardBuilder; everything they emit ships home in the envelope.
+# Module-level ``func(state, payload)`` callables, submitted to a shard's
+# host (InProcessHost or WorkerHost).  ``state`` is the shard cell dict
+# built by _ShardBuilder or _PickledShard; everything they emit ships
+# home in the envelope.
 
 
 def _shard_tick(state: dict, payload: dict) -> dict:
@@ -426,9 +430,10 @@ class ShardedFleetMonitor:
             :func:`~repro.utils.parallel.resolve_shards` (which also
             caps env-derived counts so shards x ``REPRO_N_JOBS`` never
             oversubscribes the machine).
-        mode: ``"serial"`` (in-process shards, the deterministic
-            reference) or ``"process"`` (one
-            :class:`~repro.utils.parallel.WorkerHost` per shard).  An
+        mode: Which host class serves each shard: ``"serial"`` (an
+            :class:`~repro.utils.parallel.InProcessHost`, zero
+            processes) or ``"process"`` (a
+            :class:`~repro.utils.parallel.WorkerHost`).  An
             unpicklable spec degrades ``"process"`` to ``"serial"``
             under an :class:`~repro.utils.errors.UnpicklableTaskWarning`
             instead of failing.
@@ -485,7 +490,6 @@ class ShardedFleetMonitor:
         self.slo = slo
         self.alerts: list[Alert] = []
         self.faults: list[SampleFault] = []
-        self._alerted_serials: set[str] = set()
         self._first_seen: list[str] = []
         self._seen: set[str] = set()
         self._last_hour: Optional[float] = None
@@ -508,15 +512,9 @@ class ShardedFleetMonitor:
                 )
                 mode = "serial"
         self.mode = mode
+        self._host_class = WorkerHost if mode == "process" else InProcessHost
         builder = _ShardBuilder(self._spec)
-        if mode == "process":
-            self._shards: Optional[list[dict]] = None
-            self._hosts: Optional[list[WorkerHost]] = [
-                WorkerHost(builder) for _ in range(self.n_shards)
-            ]
-        else:
-            self._shards = [builder() for _ in range(self.n_shards)]
-            self._hosts = None
+        self._hosts = [self._host_class(builder) for _ in range(self.n_shards)]
 
     @classmethod
     def from_predictor(
@@ -531,22 +529,15 @@ class ShardedFleetMonitor:
         scoring goes through the tree's bound ``predict``, which ships
         to shard workers whenever the tree itself pickles.
         """
-        tree = predictor.tree_
-        if tree is None:
-            raise RuntimeError("predictor is not fitted; call fit() first")
-        return cls(
-            predictor.extractor.features, tree.predict, voter,
-            tree=tree, **kwargs,
-        )
+        features, tree = _unpack_predictor(predictor)
+        return cls(features, tree.predict, voter, tree=tree, **kwargs)
 
     # -- lifecycle -------------------------------------------------------------
 
     def close(self) -> None:
-        """Shut down shard workers (no-op in serial mode)."""
-        if self._hosts is not None:
-            for host in self._hosts:
-                if host.alive:
-                    host.close()
+        """Shut down every shard host."""
+        for host in self._hosts:
+            host.close()
 
     def __enter__(self) -> "ShardedFleetMonitor":
         return self
@@ -561,10 +552,9 @@ class ShardedFleetMonitor:
     ) -> list[tuple[int, object]]:
         """Run ``func(state, payload)`` per shard; results in call order.
 
-        Process mode submits every call before collecting any result,
-        so shard slices execute concurrently; serial mode runs them
-        in-process under :func:`~repro.observability.capture_remote`
-        so both modes hand back the same envelope shape.
+        Every call is submitted before any result is collected, so
+        worker shards execute their slices concurrently; every host
+        hands back the same envelope shape.
 
         A shard that dies mid-call (or was already dead at submit time)
         surfaces as a :class:`~repro.utils.errors.WorkerDiedError`
@@ -573,43 +563,38 @@ class ShardedFleetMonitor:
         return ``None`` to mean "this shard has no result this call"
         (quarantine); every merge path tolerates the gap.
         """
-        if self._hosts is not None:
-            submitted: list[tuple[int, Callable, object, object]] = []
-            for sid, func, payload in calls:
-                try:
-                    outcome: object = self._hosts[sid].submit(func, payload)
-                except WorkerDiedError as error:
-                    outcome = error
-                submitted.append((sid, func, payload, outcome))
-            responses: list[tuple[int, object]] = []
-            for sid, func, payload, outcome in submitted:
-                if isinstance(outcome, WorkerDiedError):
-                    responses.append(
-                        (sid, self._handle_shard_death(sid, func, payload, outcome))
-                    )
-                    continue
+        submitted: list[tuple[int, Callable, object, object]] = []
+        for sid, func, payload in calls:
+            try:
+                outcome: object = self._hosts[sid].submit(func, payload)
+            except WorkerDiedError as error:
+                outcome = error
+            submitted.append((sid, func, payload, outcome))
+        responses: list[tuple[int, object]] = []
+        for sid, func, payload, outcome in submitted:
+            if not isinstance(outcome, WorkerDiedError):
                 try:
                     responses.append((sid, outcome.result()))
+                    continue
                 except WorkerDiedError as error:
-                    responses.append(
-                        (sid, self._handle_shard_death(sid, func, payload, error))
-                    )
-            return responses
-        config = worker_config()
-        responses = []
-        for sid, func, payload in calls:
-            shard = self._shards[sid]
-            if shard is None:
-                error = WorkerDiedError(
-                    f"shard {sid} is dead (killed in serial mode); restore "
-                    f"it from a snapshot before dispatching more calls"
-                )
-                responses.append(
-                    (sid, self._handle_shard_death(sid, func, payload, error))
-                )
-                continue
-            responses.append((sid, capture_remote(config, func, shard, payload)))
+                    outcome = error
+            responses.append(
+                (sid, self._handle_shard_death(sid, func, payload, outcome))
+            )
         return responses
+
+    def _call_shard(self, sid: int, func: Callable, payload: object = None) -> object:
+        """One call on one shard through :meth:`_raw_dispatch`, unwrapped.
+
+        A dead shard is handled like any dispatch (fatal here, recovered
+        when supervised); a quarantined one raises
+        :class:`~repro.utils.errors.WorkerDiedError`.
+        """
+        if sid not in self._quarantined:
+            ((_, envelope),) = self._raw_dispatch([(sid, func, payload)])
+            if envelope is not None:
+                return self._absorb(envelope)
+        raise WorkerDiedError(f"shard {sid} is quarantined")
 
     def _handle_shard_death(
         self, sid: int, func: Callable, payload: object, error: WorkerDiedError
@@ -631,17 +616,19 @@ class ShardedFleetMonitor:
         ]
 
     def kill_shard(self, shard: int) -> None:
-        """Kill one shard's worker without warning (chaos/testing hook).
+        """Kill one shard's host without warning (chaos/testing hook).
 
-        Process mode terminates the host's worker process; serial mode
-        drops the in-process shard cell.  Either way the next dispatch
-        to that shard raises :class:`~repro.utils.errors.WorkerDiedError`
-        (or triggers supervised recovery).
+        The host drops its state (a worker host terminates its process);
+        the next dispatch to that shard raises
+        :class:`~repro.utils.errors.WorkerDiedError` (or triggers
+        supervised recovery).
         """
-        if self._hosts is not None:
-            self._hosts[shard].kill()
-        else:
-            self._shards[shard] = None
+        self._hosts[shard].kill()
+
+    def _replace_host(self, shard: int, build: Callable) -> None:
+        """Kill shard ``shard``'s host and start a fresh one from ``build``."""
+        self._hosts[shard].kill()
+        self._hosts[shard] = self._host_class(build)
 
     def quarantine_shard(self, shard: int) -> None:
         """Permanently stop dispatching to one shard (degraded mode).
@@ -656,11 +643,7 @@ class ShardedFleetMonitor:
         if shard in self._quarantined:
             return
         self._quarantined.add(shard)
-        if self._hosts is not None:
-            if self._hosts[shard].alive:
-                self._hosts[shard].kill()
-        else:
-            self._shards[shard] = None
+        self._hosts[shard].kill()
         get_event_log().emit(
             "shard_quarantined",
             hour=self._last_hour,
@@ -731,7 +714,7 @@ class ShardedFleetMonitor:
 
         The sorted-out roster, its partition and the serial→position
         map are built once here, and each shard's sub-roster is pinned
-        (worker-resident in process mode), so repeated
+        (host-resident), so repeated
         :meth:`observe_tick` calls ship only the matrix slices.  A
         roster that repeats a serial resolves last-write-wins on every
         tick, with one ``duplicate-serial`` fault per overridden row.
@@ -887,7 +870,6 @@ class ShardedFleetMonitor:
             renamed = replace(alert, alert_id=f"alert-{len(self.alerts):04d}")
             id_maps[sid][alert.alert_id] = renamed.alert_id
             self.alerts.append(renamed)
-            self._alerted_serials.add(renamed.serial)
             adopted.append((sid, renamed))
         for sid, envelope in envelopes:
             self._absorb(envelope, id_maps[sid])
@@ -1111,21 +1093,6 @@ class ShardedFleetMonitor:
 
     # -- snapshot / restore ----------------------------------------------------
 
-    def _export_shard(self, shard: int) -> dict:
-        if shard in self._quarantined:
-            raise WorkerDiedError(
-                f"shard {shard} is quarantined; it has no state to export"
-            )
-        if self._hosts is not None:
-            return self._absorb(self._hosts[shard].call(_shard_export))
-        cell = self._shards[shard]
-        if cell is None:
-            raise WorkerDiedError(
-                f"shard {shard} is dead (killed in serial mode); restore it "
-                f"before snapshotting"
-            )
-        return _shard_export(cell, None)
-
     def _coordinator_state(self) -> dict:
         return {
             "spec": self._spec,
@@ -1134,7 +1101,6 @@ class ShardedFleetMonitor:
             "alerts": self.alerts,
             "faults": self.faults,
             "first_seen": self._first_seen,
-            "alerted_serials": self._alerted_serials,
             "model_generation": self.model_generation,
             "current_model": self._current_model,
             "slo": self.slo,
@@ -1156,7 +1122,7 @@ class ShardedFleetMonitor:
     ) -> JsonCheckpoint:
         """Persist one shard's full state into a ``shard-snapshot`` checkpoint."""
         store = self._open_store(store)
-        state = self._export_shard(shard)
+        state = self._call_shard(shard, _shard_export)
         store.set(f"shard-{shard}", encode_object(state))
         get_registry().counter(
             "shard.snapshots", help=SHARD_SNAPSHOTS_HELP
@@ -1189,9 +1155,8 @@ class ShardedFleetMonitor:
     ) -> None:
         """Replace one shard's state from a snapshot (kill-and-resume).
 
-        In process mode a dead host (see
-        :meth:`~repro.utils.parallel.WorkerHost.kill`) is replaced by a
-        fresh worker whose state is rebuilt from the snapshot blob —
+        The shard's host (dead or alive) is replaced by a fresh one of
+        the same class whose state is rebuilt from the snapshot blob —
         the resumed shard continues the stream bit-identically from
         the snapshot point.
         """
@@ -1200,15 +1165,10 @@ class ShardedFleetMonitor:
         if cell is None:
             raise KeyError(f"snapshot has no cell for shard {shard}")
         state = decode_object(cell)
-        if self._hosts is not None:
-            old = self._hosts[shard]
-            if old.alive:
-                old.kill()
-            self._hosts[shard] = WorkerHost(
-                _PickledShard(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL))
-            )
-        else:
-            self._shards[shard] = {"monitor": state["monitor"], "feed": None}
+        self._replace_host(
+            shard,
+            _PickledShard(pickle.dumps(state, protocol=pickle.HIGHEST_PROTOCOL)),
+        )
         self._quarantined.discard(shard)
         # The snapshot's roster may predate the coordinator's current
         # registration; re-pin the live sub-roster so the matrix path
@@ -1267,7 +1227,6 @@ class ShardedFleetMonitor:
         self.faults = coord["faults"]
         self._first_seen = coord["first_seen"]
         self._seen = set(self._first_seen)
-        self._alerted_serials = coord["alerted_serials"]
         self.model_generation = coord["model_generation"]
         self._current_model = coord["current_model"]
         self._last_hour = coord["last_hour"]
@@ -1278,10 +1237,7 @@ class ShardedFleetMonitor:
             if shard in quarantined:
                 # The shard was cut loose before the snapshot; there is
                 # no cell to restore and it stays out of the rotation.
-                if self._hosts is not None:
-                    self._hosts[shard].kill()
-                else:
-                    self._shards[shard] = None
+                self._hosts[shard].kill()
                 self._quarantined.add(shard)
                 continue
             self.restore_shard(shard, store)
@@ -1303,35 +1259,10 @@ class ShardedFleetMonitor:
         and feed the coordinator-side SLO monitor — shards never see
         ground truth.
         """
-        alerted = serial in self._alerted_serials
-        if failed:
-            outcome = "detected" if alerted else "missed"
-        else:
-            outcome = "false_alarm" if alerted else "good"
-        alert = next((a for a in self.alerts if a.serial == serial), None)
-        lead_hours: Optional[float] = None
-        if (
-            outcome == "detected" and alert is not None
-            and failure_hour is not None and np.isfinite(alert.hour)
-        ):
-            lead_hours = float(failure_hour) - float(alert.hour)
-        if hour is None:
-            if failure_hour is not None:
-                hour = failure_hour
-            elif alert is not None and np.isfinite(alert.hour):
-                hour = alert.hour
-            else:
-                hour = 0.0
-        get_event_log().emit(
-            "outcome_resolved", drive=serial, hour=hour,
-            outcome=outcome,
-            **({"alert_id": alert.alert_id}
-               if alert is not None and alert.alert_id else {}),
-            **({"lead_hours": lead_hours} if lead_hours is not None else {}),
+        return _resolve_outcome(
+            self.alerts, self.slo, serial, failed,
+            hour=hour, failure_hour=failure_hour,
         )
-        if self.slo is not None:
-            self.slo.record(float(hour), outcome, lead_hours=lead_hours, drive=serial)
-        return outcome
 
     # -- reporting -------------------------------------------------------------
 
@@ -1383,23 +1314,13 @@ class ShardedFleetMonitor:
         return dict(sorted(counts.items()))
 
     def drive_status(self, serial: str) -> DriveStatus:
-        """Serving status of one drive (resolved on its owning shard)."""
+        """Serving status of one drive (resolved on its owning shard).
+
+        Goes through the dispatch path like every other query, so a
+        supervised monitor recovers a dead owning shard first.
+        """
         sid = shard_for(serial, self.n_shards)
-        if sid in self._quarantined or (
-            self._shards is not None and self._shards[sid] is None
-        ):
-            raise WorkerDiedError(
-                f"drive {serial!r} lives on shard {sid}, which is "
-                f"{'quarantined' if sid in self._quarantined else 'dead'}"
-            )
-        if self._hosts is not None:
-            value = self._absorb(self._hosts[sid].call(_shard_drive_status, serial))
-        else:
-            value = capture_remote(
-                worker_config(), _shard_drive_status, self._shards[sid], serial
-            )
-            value = self._absorb(value)
-        return DriveStatus(value)
+        return DriveStatus(self._call_shard(sid, _shard_drive_status, serial))
 
     def health_report(self) -> dict[str, object]:
         """One-call fleet summary, shaped exactly like a single monitor's.
@@ -1410,30 +1331,14 @@ class ShardedFleetMonitor:
         extra ``"sharding"`` section describes the deployment topology.
         """
         statuses = self._statuses()
-        kinds: dict[str, int] = {}
-        for fault in self.faults:
-            kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
-        degraded: list[str] = []
-        for status in statuses:
-            degraded.extend(status["degraded"])
-        snapshot = get_registry().snapshot()
-        report: dict[str, object] = {
-            "schema": HEALTH_REPORT_SCHEMA,
-            "watched_drives": sum(status["n_watched"] for status in statuses),
-            "alerts": len(self.alerts),
-            "faults_total": len(self.faults),
-            "faults_by_kind": kinds,
-            "degraded_drives": sorted(degraded),
-            "vote_flips": sum(status["vote_flips"] for status in statuses),
-            "model_generation": self.model_generation,
-            "metrics": {
-                name: entry
-                for name, entry in snapshot["metrics"].items()
-                if name.startswith("serve.")
-            },
-        }
-        if self.slo is not None:
-            report["slo"] = self.slo.status()
+        report = _health_report(
+            self,
+            watched=sum(status["n_watched"] for status in statuses),
+            degraded=sorted(
+                serial for status in statuses for serial in status["degraded"]
+            ),
+            vote_flips=sum(status["vote_flips"] for status in statuses),
+        )
         report["sharding"] = {
             "n_shards": self.n_shards,
             "mode": self.mode,

@@ -377,13 +377,8 @@ class FleetMonitor:
         decision-path provenance.  Extra keyword arguments pass through
         to the constructor.
         """
-        tree = predictor.tree_
-        if tree is None:
-            raise RuntimeError("predictor is not fitted; call fit() first")
-        return cls(
-            predictor.extractor.features, tree.predict, voter,
-            tree=tree, **kwargs,
-        )
+        features, tree = _unpack_predictor(predictor)
+        return cls(features, tree.predict, voter, tree=tree, **kwargs)
 
     def observe(
         self, serial: str, hour: float, channel_values: Sequence[float]
@@ -536,35 +531,10 @@ class FleetMonitor:
         so explain reports can attribute precision to the exact
         subtree that paged (:mod:`repro.explain.report`).
         """
-        alerted = self._engine.is_alerted(serial)
-        if failed:
-            outcome = "detected" if alerted else "missed"
-        else:
-            outcome = "false_alarm" if alerted else "good"
-        alert = next((a for a in self.alerts if a.serial == serial), None)
-        lead_hours: Optional[float] = None
-        if (
-            outcome == "detected" and alert is not None
-            and failure_hour is not None and np.isfinite(alert.hour)
-        ):
-            lead_hours = float(failure_hour) - float(alert.hour)
-        if hour is None:
-            if failure_hour is not None:
-                hour = failure_hour
-            elif alert is not None and np.isfinite(alert.hour):
-                hour = alert.hour
-            else:
-                hour = 0.0
-        get_event_log().emit(
-            "outcome_resolved", drive=serial, hour=hour,
-            outcome=outcome,
-            **({"alert_id": alert.alert_id}
-               if alert is not None and alert.alert_id else {}),
-            **({"lead_hours": lead_hours} if lead_hours is not None else {}),
+        return _resolve_outcome(
+            self.alerts, self.slo, serial, failed,
+            hour=hour, failure_hour=failure_hour,
         )
-        if self.slo is not None:
-            self.slo.record(float(hour), outcome, lead_hours=lead_hours, drive=serial)
-        return outcome
 
     def watched_drives(self) -> list[str]:
         """Serials currently tracked."""
@@ -594,25 +564,94 @@ class FleetMonitor:
         (``serve.*``) series from the live snapshot; with the default
         no-op registry it is empty.
         """
-        kinds: dict[str, int] = {}
-        for fault in self.faults:
-            kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
-        snapshot = get_registry().snapshot()
-        report: dict[str, object] = {
-            "schema": HEALTH_REPORT_SCHEMA,
-            "watched_drives": self._engine.n_watched(),
-            "alerts": len(self.alerts),
-            "faults_total": len(self.faults),
-            "faults_by_kind": kinds,
-            "degraded_drives": self.degraded_drives(),
-            "vote_flips": self.vote_flips,
-            "model_generation": self.model_generation,
-            "metrics": {
-                name: entry
-                for name, entry in snapshot["metrics"].items()
-                if name.startswith("serve.")
-            },
-        }
-        if self.slo is not None:
-            report["slo"] = self.slo.status()
-        return report
+        return _health_report(
+            self,
+            watched=self._engine.n_watched(),
+            degraded=self.degraded_drives(),
+            vote_flips=self.vote_flips,
+        )
+
+
+def _unpack_predictor(predictor) -> tuple[tuple, object]:
+    """A fitted pipeline's ``(features, tree)``; raises if it is unfitted."""
+    tree = predictor.tree_
+    if tree is None:
+        raise RuntimeError("predictor is not fitted; call fit() first")
+    return predictor.extractor.features, tree
+
+
+def _resolve_outcome(
+    alerts: Sequence[Alert],
+    slo: Optional[object],
+    serial: str,
+    failed: bool,
+    *,
+    hour: Optional[float],
+    failure_hour: Optional[float],
+) -> str:
+    """``resolve_outcome`` for any monitor, given its alerts and SLO.
+
+    A drive counts as alerted when ``alerts`` holds an alert for it;
+    every alert latch appends one, so this is the latch itself.
+    """
+    alert = next((a for a in alerts if a.serial == serial), None)
+    if failed:
+        outcome = "detected" if alert is not None else "missed"
+    else:
+        outcome = "false_alarm" if alert is not None else "good"
+    lead_hours: Optional[float] = None
+    if (
+        outcome == "detected"
+        and failure_hour is not None and np.isfinite(alert.hour)
+    ):
+        lead_hours = float(failure_hour) - float(alert.hour)
+    if hour is None:
+        if failure_hour is not None:
+            hour = failure_hour
+        elif alert is not None and np.isfinite(alert.hour):
+            hour = alert.hour
+        else:
+            hour = 0.0
+    get_event_log().emit(
+        "outcome_resolved", drive=serial, hour=hour,
+        outcome=outcome,
+        **({"alert_id": alert.alert_id}
+           if alert is not None and alert.alert_id else {}),
+        **({"lead_hours": lead_hours} if lead_hours is not None else {}),
+    )
+    if slo is not None:
+        slo.record(float(hour), outcome, lead_hours=lead_hours, drive=serial)
+    return outcome
+
+
+def _health_report(
+    monitor, *, watched: int, degraded: list[str], vote_flips: int
+) -> dict[str, object]:
+    """The ``health_report()`` every monitor shares, from its counts.
+
+    Builds the schema tag, alert and fault totals, fault kinds, model
+    generation, the ``serve.*`` metrics and the SLO status from
+    ``monitor``; the caller supplies the drive counts it holds.
+    """
+    kinds: dict[str, int] = {}
+    for fault in monitor.faults:
+        kinds[fault.kind.value] = kinds.get(fault.kind.value, 0) + 1
+    snapshot = get_registry().snapshot()
+    report: dict[str, object] = {
+        "schema": HEALTH_REPORT_SCHEMA,
+        "watched_drives": watched,
+        "alerts": len(monitor.alerts),
+        "faults_total": len(monitor.faults),
+        "faults_by_kind": kinds,
+        "degraded_drives": degraded,
+        "vote_flips": vote_flips,
+        "model_generation": monitor.model_generation,
+        "metrics": {
+            name: entry
+            for name, entry in snapshot["metrics"].items()
+            if name.startswith("serve.")
+        },
+    }
+    if monitor.slo is not None:
+        report["slo"] = monitor.slo.status()
+    return report

@@ -11,12 +11,13 @@ hand, and every tick since the last snapshot is silently gone.
 :class:`SupervisedShardedMonitor` closes that gap with three pieces:
 
 * **Liveness** — before every collection tick the coordinator polls
-  each shard host's worker process
-  (:meth:`~repro.utils.parallel.WorkerHost.poll`), so a killed shard is
-  *detected* at the next tick rather than discovered via a broken pipe
-  mid-dispatch.  Deaths during a dispatch surface as
+  each shard host (:meth:`~repro.utils.parallel.WorkerHost.poll`), so a
+  killed shard is *detected* at the next tick rather than discovered
+  via a broken pipe mid-dispatch.  Deaths during a dispatch — any
+  call, a tick or a query — surface as
   :class:`~repro.utils.errors.WorkerDiedError` and are handled at the
-  same place.
+  same place.  In-process and worker-process shards share one host
+  contract, so none of this depends on the execution mode.
 * **Write-ahead tick journal** — :class:`TickJournal` records every
   normalized tick (and the roster/feed context it depends on) *before*
   it is dispatched: schema-tagged JSONL (``repro.tick-journal/v2``)
@@ -24,8 +25,8 @@ hand, and every tick since the last snapshot is silently gone.
   tolerant on read.  Periodic snapshots through
   :class:`~repro.utils.checkpoint.JsonCheckpoint` truncate it, so the
   journal only ever holds the ticks since the last snapshot.
-* **Recovery** — on a dead shard the supervisor respawns a fresh
-  worker from the latest snapshot (or from the shard spec when none
+* **Recovery** — on a dead shard the supervisor starts a fresh host
+  from the latest snapshot (or from the shard spec when none
   exists yet) and deterministically replays the journaled ticks for
   that shard, with observability suppressed so nothing is
   double-counted.  Because the coordinator itself never died, its
@@ -70,15 +71,9 @@ from repro.detection.sharded import (
     _shard_tick,
 )
 from repro.detection.streaming import NormalizedTick
-from repro.observability import (
-    capture_remote,
-    get_event_log,
-    get_registry,
-    worker_config,
-)
+from repro.observability import get_event_log, get_registry
 from repro.utils.checkpoint import SHARD_SNAPSHOT_KIND, JsonCheckpoint
 from repro.utils.errors import TornEventLogWarning, WorkerDiedError
-from repro.utils.parallel import WorkerHost
 
 #: Schema tag on the journal's JSONL header line.
 TICK_JOURNAL_SCHEMA = "repro.tick-journal/v2"
@@ -423,19 +418,6 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
 
     # -- snapshots -------------------------------------------------------------
 
-    def _export_shard(self, shard: int) -> dict:
-        # A shard can die in the instant between serving and being
-        # snapshotted; recover it (old snapshot + journal replay) and
-        # export the rebuilt state instead of aborting the checkpoint.
-        try:
-            return super()._export_shard(shard)
-        except WorkerDiedError as error:
-            if shard in self._quarantined or not self._supervise_death(
-                shard, error, in_flight_tick=False
-            ):
-                raise
-            return super()._export_shard(shard)
-
     def checkpoint(self) -> JsonCheckpoint:
         """Snapshot every live shard and truncate the journal.
 
@@ -482,45 +464,34 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
     def probe_shards(self) -> None:
         """Detect (and recover) dead shards before dispatching a tick.
 
-        Process mode polls each host's worker for an exit code — O(1)
-        per shard, no round trip; serial mode checks for killed cells.
+        Polls each host — O(1) per shard, no round trip; a worker host
+        notices a worker that died on its own, any host reports a kill.
         Any death found here is recovered *outside* a tick, so there is
         no in-flight payload to exclude from replay.
         """
         for sid in self._active_shards():
-            if self._hosts is not None:
-                host = self._hosts[sid]
-                exit_code = host.poll()
-                if host.alive:
-                    continue
-                error = WorkerDiedError(
-                    f"shard {sid} worker found dead by the pre-tick probe",
-                    exit_code=exit_code,
-                )
-            else:
-                if self._shards[sid] is not None:
-                    continue
-                error = WorkerDiedError(
-                    f"shard {sid} cell found dead by the pre-tick probe"
-                )
+            host = self._hosts[sid]
+            exit_code = host.poll()
+            if host.alive:
+                continue
+            error = WorkerDiedError(
+                f"shard {sid} found dead by the pre-tick probe",
+                exit_code=exit_code,
+            )
             self._supervise_death(sid, error, in_flight_tick=False)
 
     def ping_shards(self, timeout: float = 5.0) -> dict[int, bool]:
         """Request/response health of every active shard (operator tool).
 
-        Unlike :meth:`probe_shards` this proves the worker *responds* —
+        Unlike :meth:`probe_shards` this proves the host *responds* —
         a wedged worker polls alive but fails its ping.  Returns
         ``{shard_id: healthy}``; never raises and never recovers (the
-        verdict is the operator's to act on).  Serial shards are healthy
-        exactly when their cell exists.
+        verdict is the operator's to act on).
         """
-        health: dict[int, bool] = {}
-        for sid in self._active_shards():
-            if self._hosts is not None:
-                health[sid] = self._hosts[sid].ping(timeout=timeout)
-            else:
-                health[sid] = self._shards[sid] is not None
-        return health
+        return {
+            sid: self._hosts[sid].ping(timeout=timeout)
+            for sid in self._active_shards()
+        }
 
     # -- recovery --------------------------------------------------------------
 
@@ -530,15 +501,11 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         )
         if not recovered:
             return None
-        # Re-run the in-flight call on the fresh worker through the
+        # Re-run the in-flight call on the fresh host through the
         # normal observed path, so its alerts/faults/events merge
         # exactly as the original dispatch would have.
-        if self._hosts is not None:
-            try:
-                return self._hosts[sid].submit(func, payload).result()
-            except WorkerDiedError as again:
-                return self._handle_shard_death(sid, func, payload, again)
-        return capture_remote(worker_config(), func, self._shards[sid], payload)
+        ((_, result),) = self._raw_dispatch([(sid, func, payload)])
+        return result
 
     def _supervise_death(
         self, sid: int, error: WorkerDiedError, *, in_flight_tick: bool
@@ -576,14 +543,7 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
             # No snapshot yet: the journal covers the whole run, so a
             # fresh shard built from the spec replays to parity.
             source = "fresh"
-            builder = _ShardBuilder(self._spec)
-            if self._hosts is not None:
-                old = self._hosts[sid]
-                if old.alive:
-                    old.kill()
-                self._hosts[sid] = WorkerHost(builder)
-            else:
-                self._shards[sid] = builder()
+            self._replace_host(sid, _ShardBuilder(self._spec))
         replayed = self._replay_shard(sid, exclude_in_flight=exclude_in_flight)
         # Recovery re-established the shard's roster and feed from the
         # journal; the fleet-wide pin is intact again.
@@ -656,14 +616,9 @@ class SupervisedShardedMonitor(ShardedFleetMonitor):
         return replayed
 
     def _replay_call(self, sid: int, func, payload) -> None:
-        if self._hosts is not None:
-            # observed=False ships no config: the worker runs under its
-            # own no-op instruments and returns the bare result.
-            self._hosts[sid].submit(func, payload, observed=False).result()
-            return
-        # Serial: run under throwaway captured instruments and discard
-        # the envelope, so the parent's counters/events see nothing.
-        capture_remote(worker_config(), func, self._shards[sid], payload)
+        # observed=False: the call runs under throwaway instruments and
+        # returns the bare result, so the parent sees nothing.
+        self._hosts[sid].submit(func, payload, observed=False).result()
 
     # -- reporting -------------------------------------------------------------
 

@@ -37,6 +37,10 @@ one dedicated worker process hosting *stateful* computations (a shard
 monitor) across many calls, speaking the same
 :class:`~repro.observability.RemoteObservation` envelope protocol so
 per-call metrics/spans/events ship home exactly like pool tasks.
+:class:`InProcessHost` keeps the same contract — state built by the
+same picklable builder, the same envelopes, the same death semantics —
+in the calling process, so a caller that holds hosts never branches on
+where they run.
 
 Fault tolerance is layered on top of the determinism protocol:
 
@@ -67,11 +71,16 @@ import os
 import pickle
 import time
 import warnings
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as FuturesTimeoutError
+from concurrent.futures import (
+    Future,
+    ProcessPoolExecutor,
+    TimeoutError as FuturesTimeoutError,
+)
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, Optional, Sequence
 
 from repro.observability import (
+    RemoteObservation,
     absorb_remote,
     capture_remote,
     get_registry,
@@ -491,7 +500,42 @@ class _HostFuture:
         return self._future.cancel()
 
 
-class WorkerHost:
+class _Host:
+    """The host contract :class:`WorkerHost` and :class:`InProcessHost` share.
+
+    ``submit(func, payload, *, observed=True)`` runs ``func(state,
+    payload)`` against the hosted state and returns a future-like object
+    whose ``result()`` is the call's envelope (or bare value) and
+    re-raises the call's exception; ``alive``, ``exit_code``, ``pids()``
+    and ``poll()`` report the host's life, ``kill()`` and ``close()``
+    end it (both idempotent).  A dead host raises
+    :class:`~repro.utils.errors.WorkerDiedError` from ``submit``.
+    """
+
+    def call(self, func: Callable, payload: object = None, *,
+             timeout: Optional[float] = None) -> object:
+        """``submit`` and wait: the hosted ``func(state, payload)`` result."""
+        return self.submit(func, payload).result(timeout=timeout)
+
+    def ping(self, timeout: float = 5.0) -> bool:
+        """Request/response health probe with a bounded wait.
+
+        Submits a trivial echo call and waits up to ``timeout`` seconds:
+        True means the host is alive *and responsive*; False covers both
+        a dead host and a wedged worker that ate the budget.  A failed
+        ping never raises — it is the question, not the answer.
+        """
+        if not self.alive:
+            return False
+        try:
+            return self.submit(
+                _host_ping, "ping", observed=False
+            ).result(timeout=timeout) == "ping"
+        except (WorkerDiedError, FuturesTimeoutError):
+            return False
+
+
+class WorkerHost(_Host):
     """One dedicated worker process hosting mutable state across calls.
 
     :func:`run_tasks` is built for stateless fan-out: every task ships
@@ -594,23 +638,6 @@ class WorkerHost:
                 return self._mark_dead()
         return None
 
-    def ping(self, timeout: float = 5.0) -> bool:
-        """Request/response health probe with a bounded wait.
-
-        Submits a trivial echo call and waits up to ``timeout`` seconds:
-        True means the worker loop is alive *and responsive*; False
-        covers both a dead worker and a wedged one that ate the budget.
-        A failed ping never raises — it is the question, not the answer.
-        """
-        if self._pool is None:
-            return False
-        try:
-            return self.submit(
-                _host_ping, "ping", observed=False
-            ).result(timeout=timeout) == "ping"
-        except (WorkerDiedError, FuturesTimeoutError):
-            return False
-
     def submit(
         self, func: Callable, payload: object = None, *, observed: bool = True
     ) -> _HostFuture:
@@ -646,11 +673,6 @@ class WorkerHost:
                 exit_code=exit_code,
             ) from error
 
-    def call(self, func: Callable, payload: object = None, *,
-             timeout: Optional[float] = None) -> object:
-        """``submit`` and wait: the hosted ``func(state, payload)`` result."""
-        return self.submit(func, payload).result(timeout=timeout)
-
     def kill(self) -> None:
         """Drop the worker process immediately, discarding hosted state.
 
@@ -671,3 +693,70 @@ class WorkerHost:
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
             self._pool = None
+
+
+class InProcessHost(_Host):
+    """:class:`WorkerHost`'s contract, served in the calling process.
+
+    ``build`` runs once, here, to create the hosted state.  Each call
+    runs at :meth:`submit` time under
+    :func:`~repro.observability.capture_remote`, so it hands back the
+    envelope a worker would, and its exception surfaces from
+    ``result()``, as a worker's does.  ``observed=False`` runs under
+    throwaway instruments and returns the bare result, so nothing
+    reaches the caller's registry, tracer or event log.  After
+    :meth:`kill` or :meth:`close` the state is gone and the host is dead
+    like a killed worker: ``alive`` is False and ``submit`` raises
+    :class:`~repro.utils.errors.WorkerDiedError`.  There is no process,
+    so :meth:`pids` is empty and ``exit_code`` stays ``None``.
+    """
+
+    def __init__(self, build: Callable):
+        self._state = build()
+        self._alive = True
+
+    @property
+    def alive(self) -> bool:
+        """Whether the host still holds state to run calls on."""
+        return self._alive
+
+    @property
+    def exit_code(self) -> Optional[int]:
+        """Always ``None``: an in-process host has no exit status."""
+        return None
+
+    def pids(self) -> list[int]:
+        """Always empty: the calls run in the caller's process."""
+        return []
+
+    def poll(self) -> Optional[int]:
+        """Liveness probe; never an exit code (read ``alive``)."""
+        return None
+
+    def submit(
+        self, func: Callable, payload: object = None, *, observed: bool = True
+    ) -> Future:
+        """Run ``func(state, payload)`` now; returns its settled future."""
+        if not self._alive:
+            raise WorkerDiedError(
+                "in-process host is dead (killed or closed); restore it from "
+                "a snapshot before submitting more calls"
+            )
+        future: Future = Future()
+        try:
+            value = capture_remote(worker_config(), func, self._state, payload)
+            if not observed and isinstance(value, RemoteObservation):
+                value = value.result
+            future.set_result(value)
+        except Exception as error:
+            future.set_exception(error)
+        return future
+
+    def kill(self) -> None:
+        """Drop the hosted state; the host is dead afterwards."""
+        self._state = None
+        self._alive = False
+
+    def close(self) -> None:
+        """Same as :meth:`kill`: there are no in-flight calls to drain."""
+        self.kill()

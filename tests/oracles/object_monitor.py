@@ -462,10 +462,6 @@ class ObjectEngine:
     def n_watched(self) -> int:
         return len(self._drives)
 
-    def is_alerted(self, serial: str) -> bool:
-        state = self._drives.get(serial)
-        return state.alerted if state is not None else False
-
     def drive_status(self, serial: str) -> DriveStatus:
         state = self._drives.get(serial)
         return state.status if state is not None else DriveStatus.OK

@@ -36,7 +36,7 @@ from repro.observability import disable_metrics, enable_metrics, get_registry
 from repro.observability.events import disable_events, enable_events
 from repro.observability.slo import SLOMonitor
 from repro.smart.attributes import N_CHANNELS
-from repro.utils.checkpoint import SHARD_SNAPSHOT_KIND
+from repro.utils.checkpoint import SHARD_SNAPSHOT_KIND, decode_object, encode_object
 from repro.utils.errors import UnpicklableTaskWarning
 
 SHARD_COUNTS = (1, 2, 7)
@@ -537,6 +537,38 @@ class TestKillAndResume:
         ]
         assert resumed_shard0 == golden_shard0
         monitor.close()
+
+    def test_restore_accepts_a_coordinator_cell_with_alerted_serials(
+        self, tmp_path
+    ):
+        """Older snapshots carry an ``alerted_serials`` set; restore ignores it.
+
+        Outcomes now resolve against the merged ``alerts`` list, which
+        every snapshot already holds, so the retired key is redundant.
+        """
+        stream = self._stream(ticks=24, seed=29)
+        with _build_sharded(2, slo=SLOMonitor()) as golden:
+            self._finish(golden, stream)
+            expected = self._state(golden)
+
+        first = _build_sharded(2, slo=SLOMonitor())
+        for hour, pairs in stream[:12]:
+            first.observe_fleet(hour, pairs)
+        store = first.snapshot(tmp_path / "snap.json")
+        first.close()
+        coord = decode_object(store.get("coordinator"))
+        assert coord["alerts"], "the prefix must alert for the key to matter"
+        assert "alerted_serials" not in coord
+        coord["alerted_serials"] = {alert.serial for alert in coord["alerts"]}
+        store.set("coordinator", encode_object(coord))
+
+        resumed = ShardedFleetMonitor.restore(tmp_path / "snap.json")
+        self._finish(resumed, stream[12:])
+        assert_states_equal(expected, self._state(resumed))
+        early = coord["alerts"][0].serial
+        assert resumed.resolve_outcome(early, failed=True) == "detected"
+        assert resumed.resolve_outcome("never-seen", failed=False) == "good"
+        resumed.close()
 
     def test_restore_missing_cells_raise(self, tmp_path):
         monitor = _build_sharded(2)

@@ -25,6 +25,7 @@ import pytest
 
 from repro.detection import (
     CanaryPolicy,
+    DriveStatus,
     FleetMonitor,
     RestartPolicy,
     ShardedFleetMonitor,
@@ -45,7 +46,7 @@ from repro.observability.events import (
 )
 from repro.observability.slo import SLOMonitor
 from repro.smart.attributes import N_CHANNELS
-from repro.utils.errors import TornEventLogWarning
+from repro.utils.errors import TornEventLogWarning, WorkerDiedError
 
 FEATURES = (Feature("POH"), Feature("TC"), Feature("RSC", 6.0), Feature("RRER", 12.0))
 
@@ -651,6 +652,80 @@ class TestMixedIngressRecoveryParity:
             drive,
         )
         assert_states_equal(golden, state)
+
+
+class TestModeIndependentQueries:
+    """Both execution modes answer queries about a dead shard alike."""
+
+    @staticmethod
+    def _fleet_with_a_degraded_drive(monitor):
+        """Feed 20 drives; one on shard 1 sends a wrong-shape record per tick.
+
+        Returns that degraded serial and a healthy one on shard 1.
+        """
+        serials = [f"d{d}" for d in range(20)]
+        on_one = [serial for serial in serials if shard_for(serial, 2) == 1]
+        bad, good = on_one[0], on_one[1]
+        for hour in range(12):
+            records = {serial: np.ones(N_CHANNELS) for serial in serials}
+            records[bad] = np.ones(3)
+            monitor.observe_fleet(float(hour), records)
+        return bad, good
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_drive_status_on_a_dead_shard(self, tmp_path, mode):
+        supervised = _build_supervised(
+            2, tmp_path / "run", mode=mode, snapshot_every=5
+        )
+        try:
+            assert supervised.mode == mode
+            bad, good = self._fleet_with_a_degraded_drive(supervised)
+            supervised.kill_shard(1)
+            # Recovered through the dispatch path, not raised.
+            assert supervised.drive_status(bad) is DriveStatus.DEGRADED
+            assert supervised.recoveries == 1
+            assert supervised.drive_status(good) is DriveStatus.OK
+            assert supervised.recoveries == 1
+            supervised.quarantine_shard(1)
+            with pytest.raises(WorkerDiedError, match="quarantined"):
+                supervised.drive_status(bad)
+        finally:
+            supervised.close()
+
+        base = ShardedFleetMonitor(
+            FEATURES, _score, VoterSpec("majority", 3), n_shards=2, mode=mode
+        )
+        try:
+            assert base.mode == mode
+            bad, _ = self._fleet_with_a_degraded_drive(base)
+            assert base.drive_status(bad) is DriveStatus.DEGRADED
+            base.kill_shard(1)
+            with pytest.raises(WorkerDiedError, match="dead"):
+                base.drive_status(bad)
+            base.quarantine_shard(1)
+            with pytest.raises(WorkerDiedError, match="quarantined"):
+                base.drive_status(bad)
+        finally:
+            base.close()
+
+    @pytest.mark.parametrize("mode", ["serial", "process"])
+    def test_ping_and_probe_after_kill_shard(self, tmp_path, mode):
+        monitor = _build_supervised(2, tmp_path / "run", mode=mode)
+        serials = [f"d{d}" for d in range(8)]
+        try:
+            monitor.observe_fleet(
+                0.0, {serial: np.ones(N_CHANNELS) for serial in serials}
+            )
+            assert monitor.ping_shards(timeout=30.0) == {0: True, 1: True}
+            monitor.kill_shard(1)
+            assert monitor.ping_shards(timeout=30.0) == {0: True, 1: False}
+            assert monitor.recoveries == 0  # ping reports, never recovers
+            monitor.probe_shards()
+            assert monitor.recoveries == 1
+            assert monitor.ping_shards(timeout=30.0) == {0: True, 1: True}
+            assert monitor.watched_drives() == sorted(serials)
+        finally:
+            monitor.close()
 
 
 class TestJournalContract:

@@ -10,6 +10,15 @@ import warnings
 import numpy as np
 import pytest
 
+from repro.observability import (
+    RemoteObservation,
+    absorb_remote,
+    disable_metrics,
+    enable_metrics,
+    get_event_log,
+    get_registry,
+)
+from repro.observability.events import disable_events, enable_events
 from repro.tree.bagging import subsample_member_inputs
 from repro.utils import parallel
 from repro.utils.errors import (
@@ -19,6 +28,7 @@ from repro.utils.errors import (
     WorkerDiedError,
 )
 from repro.utils.parallel import (
+    InProcessHost,
     WorkerHost,
     _backoff_delay,
     resolve_n_jobs,
@@ -377,6 +387,77 @@ def _add_to_state(state, payload):
 
 def _nested_knobs(state, payload):
     return (resolve_n_jobs(8), resolve_shards(8))
+
+
+def _observed_add(state, payload):
+    """``_add_to_state`` that also counts and logs what it did."""
+    get_registry().counter("host.adds", help="hosted adds").inc()
+    get_event_log().emit("hosted_add", amount=payload)
+    return _add_to_state(state, payload)
+
+
+def _raise_value_error(state, payload):
+    raise ValueError(f"bad payload {payload!r}")
+
+
+class TestHostContract:
+    """``InProcessHost`` and ``WorkerHost`` honour one host contract."""
+
+    @pytest.fixture(
+        params=[InProcessHost, WorkerHost], ids=["in-process", "worker"]
+    )
+    def host(self, request):
+        host = request.param(_counter_state)
+        yield host
+        host.close()
+
+    def test_results_come_back_in_submission_order(self, host):
+        futures = [host.submit(_add_to_state, value) for value in (1, 2, 3, 4)]
+        assert [future.result() for future in futures] == [1, 3, 6, 10]
+        assert host.call(_add_to_state, 5) == 15
+
+    def test_a_raising_call_surfaces_from_result(self, host):
+        future = host.submit(_raise_value_error, 7)
+        with pytest.raises(ValueError, match="bad payload 7"):
+            future.result()
+        assert host.alive is True  # a failing call is not a dead host
+        assert host.call(_add_to_state, 1) == 1
+
+    def test_unobserved_calls_add_nothing_to_the_parent(self, host):
+        registry = enable_metrics()
+        log = enable_events()
+        try:
+            assert host.submit(_observed_add, 2, observed=False).result() == 2
+            assert registry.snapshot()["metrics"] == {}
+            assert log.events == []
+            envelope = host.submit(_observed_add, 3).result()
+            assert isinstance(envelope, RemoteObservation)
+            assert absorb_remote(envelope) == 5
+            assert registry.snapshot()["metrics"]["host.adds"]["series"]
+            assert [event.type for event in log.events] == ["hosted_add"]
+        finally:
+            disable_metrics()
+            disable_events()
+
+    def test_kill_leaves_a_dead_host(self, host):
+        assert host.call(_add_to_state, 1) == 1
+        assert host.ping(timeout=30.0) is True
+        host.kill()
+        assert host.alive is False
+        with pytest.raises(WorkerDiedError, match="dead"):
+            host.submit(_add_to_state, 1)
+        assert host.ping() is False
+        host.poll()  # reports, never raises
+        assert host.alive is False
+        assert host.pids() == []
+
+    def test_close_is_idempotent(self, host):
+        assert host.call(_add_to_state, 1) == 1
+        host.close()
+        host.close()
+        assert host.alive is False
+        with pytest.raises(WorkerDiedError, match="dead"):
+            host.submit(_add_to_state, 1)
 
 
 class TestWorkerHost:
